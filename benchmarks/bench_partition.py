@@ -17,8 +17,16 @@ separately so the tracer's overhead never contaminates nodes/sec.
 Results land in ``BENCH_partition.json`` and the memory bound is gated
 by ``check_regression.py``.
 
+A second case measures **partition reuse**: directive rewrites of the
+same graph (identical topology, new feature columns) streamed through a
+:class:`~repro.serve.service.PredictionService` that keeps the partition
+of earlier requests, against a fresh partition per request. Its
+``reuse_speedup`` (streamed nodes/s, reused over fresh) is merged into
+the same artifact and gated too.
+
 Acceptance (asserted here): >=100k nodes, partitioned peak <= 0.5x the
-full-graph peak, outputs matching within rtol 1e-4.
+full-graph peak, outputs matching within rtol 1e-4; reused-partition
+outputs bitwise-equal to fresh-partition ones and ``reuse_speedup > 1``.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ from repro.gnn.network import GraphRegressor
 from repro.gnn.streaming import predict_regressor_streaming
 from repro.graph.partition import partition_graph
 from repro.ldrgen import GeneratorConfig, generate_program
+from repro.models import OffTheShelfPredictor, PredictorConfig
 from repro.obs import track_peak_memory
+from repro.serve.service import PredictionService, ServiceConfig
 from repro.training.trainer import predict_regressor
 
 #: Node target for the synthetic CDFG (overshoots the 100k acceptance
@@ -46,23 +56,24 @@ TARGET_NODES = 110_000
 MAX_BLOCK_NODES = 4_096
 HIDDEN_DIM = 32
 NUM_LAYERS = 3
+#: Directive rewrites timed per arm of the reuse case.
+REUSE_REQUESTS = 3
 
 
-def _large_cdfg():
+@pytest.fixture(scope="module")
+def large_cdfg():
+    """(encoded graph, directive column slice) — built once per module."""
     config = GeneratorConfig.cdfg_scaled(TARGET_NODES)
     program = generate_program(config, seed=7)
     _, ir_graph, _ = lower_and_extract(program, "cdfg")
     # Encoding without the HLS flow: the benchmark needs the graph's
     # shape and features, not resource labels.
-    return FeatureEncoder().encode(ir_graph)
+    encoder = FeatureEncoder()
+    return encoder.encode(ir_graph), encoder.directive_slice
 
 
-@pytest.mark.benchmark(group="partition", min_rounds=1, max_time=1)
-def test_partitioned_inference_memory_bound(benchmark, scale):
-    graph = _large_cdfg()
-    assert graph.num_nodes >= 100_000, graph.num_nodes
-
-    model = GraphRegressor(
+def _model(graph):
+    return GraphRegressor(
         "gcn",
         in_dim=graph.feature_dim,
         hidden_dim=HIDDEN_DIM,
@@ -71,6 +82,14 @@ def test_partitioned_inference_memory_bound(benchmark, scale):
         pooling="mean",
         rng=np.random.default_rng(0),
     )
+
+
+@pytest.mark.benchmark(group="partition", min_rounds=1, max_time=1)
+def test_partitioned_inference_memory_bound(benchmark, scale, large_cdfg):
+    graph, _ = large_cdfg
+    assert graph.num_nodes >= 100_000, graph.num_nodes
+
+    model = _model(graph)
     # context_cache_size=1 mirrors the on-the-fly partitions the predict
     # helpers build: single-pass streaming cannot reuse cached contexts.
     partition = partition_graph(graph, MAX_BLOCK_NODES, seed=0, context_cache_size=1)
@@ -132,3 +151,67 @@ def test_partitioned_inference_memory_bound(benchmark, scale):
     # full-graph-equivalent outputs.
     assert payload["mem_ratio"] <= 0.5, payload
     assert payload["parity_ok"] == 1.0, payload
+
+
+def _directive_rewrite(graph, directive: slice, seed: int):
+    """Same topology, new directive columns (one DSE design point)."""
+    rng = np.random.default_rng([seed, 12])
+    features = graph.node_features.copy()
+    columns = range(*directive.indices(graph.feature_dim))
+    features[:, directive] = rng.random((graph.num_nodes, len(columns)))
+    return graph.with_features(features)
+
+
+@pytest.mark.benchmark(group="partition", min_rounds=1, max_time=1)
+def test_partition_reuse_speedup(benchmark, large_cdfg):
+    graph, directive = large_cdfg
+    predictor = OffTheShelfPredictor(
+        PredictorConfig(
+            model_name="gcn",
+            hidden_dim=HIDDEN_DIM,
+            num_layers=NUM_LAYERS,
+            num_edge_types=NUM_EDGE_TYPES_WITH_BACK,
+            pooling="mean",
+        )
+    )
+    predictor.model = _model(graph)
+    config = ServiceConfig(
+        stream_nodes=MAX_BLOCK_NODES, stream_block_nodes=MAX_BLOCK_NODES
+    )
+    requests = [_directive_rewrite(graph, directive, seed) for seed in range(REUSE_REQUESTS)]
+
+    def serve(service, request):
+        start = time.perf_counter()
+        value = service.predict([request])[0]
+        return value, time.perf_counter() - start
+
+    def measure():
+        # Reused: one service; a warm-up variant pays the partition once.
+        reused_service = PredictionService(predictor, config)
+        serve(reused_service, _directive_rewrite(graph, directive, REUSE_REQUESTS))
+        reused = [serve(reused_service, r) for r in requests]
+        # Fresh: a new service (empty partition cache) per request.
+        fresh = [serve(PredictionService(predictor, config), r) for r in requests]
+        for (a, _), (b, _) in zip(reused, fresh):
+            assert np.array_equal(a, b), "reused partition changed a prediction"
+        stats = reused_service.stats
+        assert stats.stream_partition_hits == REUSE_REQUESTS, stats
+        nodes = REUSE_REQUESTS * graph.num_nodes
+        reused_nps = nodes / sum(t for _, t in reused)
+        fresh_nps = nodes / sum(t for _, t in fresh)
+        return {
+            "reuse_requests": REUSE_REQUESTS,
+            "reused_nodes_per_s": round(reused_nps, 1),
+            "fresh_nodes_per_s": round(fresh_nps, 1),
+            "reuse_speedup": round(reused_nps / fresh_nps, 3),
+        }
+
+    payload = benchmark.pedantic(measure, rounds=1, iterations=1)
+    path = write_bench_json("partition", payload, merge=True)
+
+    print()
+    print(json.dumps(payload, indent=2))
+    benchmark.extra_info.update(payload)
+
+    assert path is None or path.is_file()
+    assert payload["reuse_speedup"] > 1.0, payload

@@ -380,6 +380,7 @@ class RelationFusion:
         # the context caches (backends x endpoints x dtypes is small, but
         # streaming sessions must not leak even across odd mixes).
         self._plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
+        self._flat_index = LRUCache(RELATION_PLAN_CACHE_SIZE)
         self._flat = LRUCache(RELATION_PLAN_CACHE_SIZE)
         self._norms = LRUCache(GCN_OPERATOR_CACHE_SIZE)
         self._collect_ops = LRUCache(RELATION_PLAN_CACHE_SIZE)
@@ -418,23 +419,23 @@ class RelationFusion:
 
     def flat_index(self, endpoint: str) -> np.ndarray:
         """Row ids into the ``[num_relations * N, D]`` stacked transform."""
-        return self._flat_entry(endpoint)[0]
+        return self._flat_index.get_or_create(
+            endpoint,
+            lambda: self._relation_ids * self.num_nodes + self.index(endpoint),
+        )
 
     def flat_plan(self, endpoint: str) -> SegmentPlan:
-        """Backward plan of gathering ``flat_index`` from the stacked rows."""
-        return self._flat_entry(endpoint)[1]
-
-    def _flat_entry(self, endpoint: str) -> tuple[np.ndarray, SegmentPlan]:
+        """Backward plan of gathering ``flat_index`` from the stacked rows
+        (built on first request — forwards without a backward skip it)."""
         backend = active_backend()
-        entry = self._flat.get((backend.name, endpoint))
-        if entry is None:
-            index = self._relation_ids * self.num_nodes + self.index(endpoint)
-            plan = backend.build_plan(
-                index, self.num_relations * self.num_nodes, validate=False
-            )
-            entry = (index, plan)
-            self._flat.put((backend.name, endpoint), entry)
-        return entry
+        return self._flat.get_or_create(
+            (backend.name, endpoint),
+            lambda: backend.build_plan(
+                self.flat_index(endpoint),
+                self.num_relations * self.num_nodes,
+                validate=False,
+            ),
+        )
 
     def norm_for(self, dtype) -> np.ndarray:
         """``[E, 1]`` column of ``1 / c_{v, r}`` (dst in-count per relation).
@@ -519,7 +520,9 @@ class RelationFusion:
 
             return Tensor._make(data, (stacked,), backward)
         flat = stacked.reshape(rows, stacked.shape[-1])
-        messages = gather_rows(flat, self.flat_index("src"), plan=self.flat_plan("src"))
+        # The gather plan serves only the backward (see edge_messages).
+        plan = self.flat_plan("src") if flat.requires_grad else None
+        messages = gather_rows(flat, self.flat_index("src"), plan=plan)
         if weighted:
             messages = messages * Tensor(self.norm_for(messages.dtype))
         return scatter_sum(messages, None, self.num_nodes, plan=self.plan("dst"))

@@ -23,6 +23,19 @@ block size, not edge count — and the outputs are *exact* on core rows
 Differences from full-graph execution are float reassociation only,
 which is what the parity suite pins (rtol 1e-4 in float32).
 
+**Features are passed per call.** A partition holds topology only, so
+:func:`stream_node_embeddings` takes the node features explicitly and
+the predict helpers stream ``graph.node_features`` of the graph they are
+given. A caller may hand in a ``partition=`` built once for many graphs
+of one topology (the DSE directive variants of one design; the serving
+tier's partition LRU) — the helpers check it against the graph
+(:meth:`~repro.graph.partition.PartitionedGraph.check_topology`) and
+raise ``ValueError`` on a mismatch instead of silently predicting the
+partition's original graph. Streaming the same features through a
+reused or a freshly built partition is bitwise-identical: block
+topology is deterministic per seed and memoised, never recomputed
+differently.
+
 Not streamable: Graph U-Net (global top-k pooling) and virtual-node
 variants (global exchange every layer) — :func:`supports_streaming`
 gates them and callers fall back to the full-graph path.
@@ -71,19 +84,29 @@ def stream_node_embeddings(
     partition: PartitionedGraph,
     features: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Node embeddings of the partitioned graph, block by block.
+    """Node embeddings of ``features`` over the partitioned topology.
 
     Equivalent to ``encoder(Tensor(features), full_ctx).data`` in eval
     mode, but never materialises full-graph topology: per layer, each
     block runs on its induced core + halo subgraph and contributes only
-    core rows to the next node buffer.
+    core rows to the next node buffer. ``features`` is required — the
+    partition holds no features of its own.
     """
     if not supports_streaming(encoder):
         raise ValueError(
             f"model '{encoder.spec.name}' needs whole-graph state and "
             "cannot stream block-wise"
         )
-    x = features if features is not None else partition.graph.node_features
+    if features is None:
+        raise TypeError(
+            "stream_node_embeddings() needs features=: a partition holds "
+            "topology only"
+        )
+    if len(features) != partition.num_nodes:
+        raise ValueError(
+            f"{len(features)} feature rows for a {partition.num_nodes}-node "
+            "partition"
+        )
     was_training = encoder.training
     encoder.eval()
     try:
@@ -91,9 +114,9 @@ def stream_node_embeddings(
             h: np.ndarray | None = None
             for block in range(partition.num_blocks):
                 core = partition.blocks[block]
-                rows = encoder.input_proj(Tensor(x[core])).relu().data
+                rows = encoder.input_proj(Tensor(features[core])).relu().data
                 if h is None:
-                    h = np.empty((partition.graph.num_nodes, rows.shape[1]), rows.dtype)
+                    h = np.empty((partition.num_nodes, rows.shape[1]), rows.dtype)
                 h[core] = rows
             last = len(encoder.layers) - 1
             for i, layer in enumerate(encoder.layers):
@@ -111,6 +134,22 @@ def stream_node_embeddings(
     finally:
         encoder.train(was_training)
     return h
+
+
+def _partition_for(
+    graph: GraphData,
+    partition: PartitionedGraph | None,
+    max_block_nodes: int,
+    seed: int,
+) -> PartitionedGraph:
+    """The caller's partition, checked against ``graph``, or a new one."""
+    if partition is not None:
+        partition.check_topology(graph)
+        return partition
+    # Single-pass streaming visits blocks cyclically, so a context cache
+    # > 1 can never hit (it would need >= num_blocks entries) and would
+    # only retain dead topology against the memory bound.
+    return partition_graph(graph, max_block_nodes, seed=seed, context_cache_size=1)
 
 
 def _pooling_name(model: GraphRegressor) -> str:
@@ -132,15 +171,11 @@ def predict_regressor_streaming(
 
     Matches ``predict_regressor(model, [graph])[0]`` within float
     reassociation tolerance while holding only block-sized topology.
+    A supplied ``partition`` must share ``graph``'s topology (else
+    ``ValueError``); ``graph``'s features are what gets streamed.
     """
-    if partition is None:
-        # Single-pass streaming visits blocks cyclically, so a context
-        # cache > 1 can never hit (it would need >= num_blocks entries)
-        # and would only retain dead topology against the memory bound.
-        partition = partition_graph(
-            graph, max_block_nodes, seed=seed, context_cache_size=1
-        )
-    h = stream_node_embeddings(model.encoder, partition)
+    partition = _partition_for(graph, partition, max_block_nodes, seed)
+    h = stream_node_embeddings(model.encoder, partition, graph.node_features)
     name = _pooling_name(model)
     if name == "sum":
         pooled = h.sum(axis=0)
@@ -169,13 +204,10 @@ def predict_node_logits_streaming(
     seed: int = 0,
     head_chunk: int = 65536,
 ) -> np.ndarray:
-    """``[num_nodes, num_tasks]`` logits for one (large) graph, streamed."""
-    if partition is None:
-        # See predict_regressor_streaming: cache > 1 cannot hit here.
-        partition = partition_graph(
-            graph, max_block_nodes, seed=seed, context_cache_size=1
-        )
-    h = stream_node_embeddings(model.encoder, partition)
+    """``[num_nodes, num_tasks]`` logits for one (large) graph, streamed
+    (same ``partition`` contract as :func:`predict_regressor_streaming`)."""
+    partition = _partition_for(graph, partition, max_block_nodes, seed)
+    h = stream_node_embeddings(model.encoder, partition, graph.node_features)
     logits = None
     was_training = model.training
     model.eval()

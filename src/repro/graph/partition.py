@@ -26,11 +26,27 @@ into pieces that fit a memory budget:
   ``BatchStream`` streaming mode; seed nodes come first in each
   subgraph and ``meta["sampled_core"]`` records how many, which
   :attr:`repro.graph.batch.Batch.core_index` turns into the loss mask.
+
+**Reuse contract.** A :class:`PartitionedGraph` holds *topology only*:
+``num_nodes``, the (shared, never copied) ``edge_index``/``edge_type``
+arrays, the blocks, the symmetric CSR and the global degree statistics —
+never ``node_features``. Features are passed per call
+(:func:`repro.gnn.streaming.stream_node_embeddings` takes ``features=``),
+so one partition serves every graph with the same topology: the
+directive variants a DSE loop scores differ only in feature columns, and
+the serving tier keeps a small LRU of partitions keyed by the topology
+digest (:meth:`GraphData.fingerprint_context`). Each block's induced
+topology — local ids, core count, remapped edges, edge types — is
+memoised per ``(block, hops)`` on first use in compact dtypes
+(:meth:`PartitionedGraph.block_topology`), so building a block context
+never rescans the full edge list; the heavier per-block contexts stay
+in a small LRU. :meth:`PartitionedGraph.check_topology` guards callers
+pairing a partition with a graph of different topology.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +95,23 @@ def _neighbors_of(
     return indices[flat]
 
 
+class BlockTopology(NamedTuple):
+    """One block's induced core + halo subgraph, in compact dtypes.
+
+    ``local`` maps local ids to global ones (core first, ascending, then
+    halo, ascending); ``edge_index`` is the induced edge set renumbered
+    to local ids, in global edge order, and ``edge_type`` its types.
+    """
+
+    local: np.ndarray
+    core_count: int
+    edge_index: np.ndarray
+    edge_type: np.ndarray
+
+
 class PartitionedGraph:
-    """A graph cut into degree-bounded blocks, with halo-aware contexts.
+    """A graph's topology cut into degree-bounded blocks, with halo-aware
+    contexts.
 
     Built by :func:`partition_graph`. ``blocks[b]`` holds the *core*
     node ids of block ``b`` (ascending); :meth:`block_context` extends a
@@ -88,6 +119,10 @@ class PartitionedGraph:
     ``GraphContext`` whose scatter plans are cached per block **and per
     active backend name** (plan caches inside the context key by backend,
     exactly like full-graph contexts).
+
+    Only the topology of the graph it was built from is kept — never its
+    node features — so one partition serves every same-topology graph
+    (see the module docstring's reuse contract).
     """
 
     def __init__(
@@ -97,8 +132,13 @@ class PartitionedGraph:
         seed: int,
         max_block_nodes: int,
         context_cache_size: int = BLOCK_CONTEXT_CACHE_SIZE,
+        csr: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        self.graph = graph
+        self.num_nodes = graph.num_nodes
+        # Shared references: a partition must not copy (or pin features
+        # through) the graph it was cut from.
+        self.edge_index = graph.edge_index
+        self.edge_type = graph.edge_type
         self.assignment = np.asarray(assignment, dtype=np.int64)
         self.seed = int(seed)
         self.max_block_nodes = int(max_block_nodes)
@@ -110,20 +150,26 @@ class PartitionedGraph:
         self.blocks = [
             order[bounds[b] : bounds[b + 1]] for b in range(num_blocks)
         ]
-        self._indptr, self._indices = _symmetric_csr(
-            graph.edge_index, graph.num_nodes
+        self._indptr, self._indices = (
+            csr if csr is not None else _symmetric_csr(graph.edge_index, graph.num_nodes)
         )
         #: Global symmetric in-degrees — the override handed to every
         #: block context so GCN/PNA normalisation matches the full graph.
         self.sym_degree = (self._indptr[1:] - self._indptr[:-1]).astype(np.float64)
         self._context_cache = LRUCache(context_cache_size)
+        # Per-(block, hops) induced topology, filled lazily and kept for
+        # the partition's lifetime: int32 ids and a narrow edge-type
+        # dtype, a fraction of one block context's footprint.
+        self._topology: dict[tuple[int, int], BlockTopology] = {}
+        self._id_dtype = np.int32 if self.num_nodes < 2**31 else np.int64
+        self._out_edges: tuple[np.ndarray, np.ndarray] | None = None
         # Global batch statistic a block cannot recover locally: PNA's
         # degree-scaler anchor is the full-graph mean log-degree.
         # Computed once — block contexts are rebuilt freely under the
         # LRU and must not redo a full-N pass each time.
         self.mean_log_degree = (
             max(float(np.log1p(self.sym_degree).mean()), 1e-6)
-            if graph.num_nodes
+            if self.num_nodes
             else 1e-6
         )
         #: Filled in by :func:`partition_graph` for reporting.
@@ -139,7 +185,7 @@ class PartitionedGraph:
     def edge_cut(self) -> float:
         """Fraction of symmetric edges whose endpoints sit in different
         blocks (0 = no cut)."""
-        src, dst = self.graph.edge_index
+        src, dst = self.edge_index
         if src.size == 0:
             return 0.0
         cut = int((self.assignment[src] != self.assignment[dst]).sum())
@@ -155,7 +201,7 @@ class PartitionedGraph:
         edges inside it are present.
         """
         core = self.blocks[block]
-        member = np.zeros(self.graph.num_nodes, dtype=bool)
+        member = np.zeros(self.num_nodes, dtype=bool)
         member[core] = True
         frontier = core
         halo: list[np.ndarray] = []
@@ -171,6 +217,66 @@ class PartitionedGraph:
             np.unique(np.concatenate(halo)) if halo else np.empty(0, dtype=np.int64)
         )
         return np.concatenate([core, halo_nodes]), len(core)
+
+    def check_topology(self, graph: GraphData) -> None:
+        """Raise ``ValueError`` unless ``graph`` has this partition's
+        topology (node count, edge count and identical or equal edge
+        arrays) — the precondition for streaming its features."""
+        if graph.num_nodes != self.num_nodes or graph.num_edges != len(
+            self.edge_type
+        ):
+            raise ValueError(
+                f"partition covers {self.num_nodes} nodes / "
+                f"{len(self.edge_type)} edges, graph has {graph.num_nodes} "
+                f"/ {graph.num_edges}"
+            )
+        for name in ("edge_index", "edge_type"):
+            mine, theirs = getattr(self, name), getattr(graph, name)
+            if mine is not theirs and not np.array_equal(mine, theirs):
+                raise ValueError(
+                    f"partition {name} differs from the graph's: it was "
+                    "built for a different topology"
+                )
+
+    def _out_edge_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, edge ids) of the directed edges grouped by source —
+        lets a block collect its induced edges from its own rows."""
+        if self._out_edges is None:
+            src = self.edge_index[0]
+            order = np.argsort(src, kind="stable")
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
+            self._out_edges = (indptr, order)
+        return self._out_edges
+
+    def block_topology(self, block: int, hops: int = 1) -> BlockTopology:
+        """Memoised induced topology of ``block`` with a ``hops`` halo.
+
+        Computed once per ``(block, hops)`` — the halo BFS plus the edge
+        remap touch only the block's own edges — and reused by every
+        later context build, whatever the features streamed through it.
+        """
+        key = (int(block), int(hops))
+        topology = self._topology.get(key)
+        if topology is None:
+            local, core_count = self.block_nodes(block, hops)
+            indptr, order = self._out_edge_groups()
+            edges = _neighbors_of(indptr, order, local)
+            remap = np.full(self.num_nodes, -1, dtype=self._id_dtype)
+            remap[local] = np.arange(len(local), dtype=self._id_dtype)
+            src, dst = self.edge_index
+            # Global edge order, exactly the order a full-list mask yields.
+            edges = np.sort(edges[remap[dst[edges]] >= 0])
+            edge_type = self.edge_type[edges]
+            narrow = np.min_scalar_type(int(edge_type.max()) if edge_type.size else 0)
+            topology = BlockTopology(
+                local=local.astype(self._id_dtype),
+                core_count=core_count,
+                edge_index=np.stack([remap[src[edges]], remap[dst[edges]]]),
+                edge_type=edge_type.astype(narrow),
+            )
+            self._topology[key] = topology
+        return topology
 
     def block_context(self, block: int, num_edge_types: int, hops: int = 1):
         """(GraphContext, local node ids, core count) for one block.
@@ -189,14 +295,11 @@ class PartitionedGraph:
         # Imported here: repro.gnn imports repro.graph at module load.
         from repro.gnn.message_passing import GraphContext
 
-        local, core_count = self.block_nodes(block, hops)
-        remap = np.full(self.graph.num_nodes, -1, dtype=np.int64)
-        remap[local] = np.arange(len(local))
-        src, dst = self.graph.edge_index
-        mask = (remap[src] >= 0) & (remap[dst] >= 0)
+        topology = self.block_topology(block, hops)
+        local = topology.local
         ctx = GraphContext(
-            edge_index=np.stack([remap[src[mask]], remap[dst[mask]]]),
-            edge_type=self.graph.edge_type[mask],
+            edge_index=topology.edge_index,
+            edge_type=topology.edge_type,
             num_nodes=len(local),
             batch=np.zeros(len(local), dtype=np.int64),
             num_graphs=1,
@@ -204,11 +307,11 @@ class PartitionedGraph:
             sym_degree=self.sym_degree[local],
         )
         ctx.mean_log_degree = self.mean_log_degree
-        return ctx, local, core_count
+        return ctx, local, topology.core_count
 
     def __repr__(self) -> str:
         return (
-            f"PartitionedGraph(nodes={self.graph.num_nodes}, "
+            f"PartitionedGraph(nodes={self.num_nodes}, "
             f"blocks={self.num_blocks}, max_block={self.max_block_nodes}, "
             f"cut={self.edge_cut():.3f}, seed={self.seed})"
         )
@@ -289,14 +392,14 @@ def partition_graph(
             frontier = fresh
 
     assignment = _refine_edge_cut(
-        graph, assignment, block + 1, degree,
+        graph, assignment, block + 1, degree, (indptr, indices),
         max_block_nodes, max_block_degree, refine_passes,
     )
     if (assignment < 0).any():
         raise AssertionError("partition left unassigned nodes")
     return PartitionedGraph(
         graph, assignment, seed, max_block_nodes,
-        context_cache_size=context_cache_size,
+        context_cache_size=context_cache_size, csr=(indptr, indices),
     )
 
 
@@ -305,6 +408,7 @@ def _refine_edge_cut(
     assignment: np.ndarray,
     num_blocks: int,
     degree: np.ndarray,
+    csr: tuple[np.ndarray, np.ndarray],
     max_block_nodes: int,
     max_block_degree: int,
     passes: int,
@@ -323,7 +427,7 @@ def _refine_edge_cut(
 
     # Row chunking keeps the (nodes x blocks) count table bounded.
     chunk_rows = max(1, 10_000_000 // num_blocks)
-    indptr, indices = _symmetric_csr(graph.edge_index, num_nodes)
+    indptr, indices = csr
     for _ in range(passes):
         before = cut(assignment)
         candidate = assignment.copy()

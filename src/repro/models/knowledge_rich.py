@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.data import GraphData
+from repro.graph.partition import PartitionedGraph
 from repro.models.base import PredictorConfig, apply_feature_view
 from repro.models.off_the_shelf import OffTheShelfPredictor
 from repro.training.checkpoint import CheckpointConfig
@@ -47,12 +48,21 @@ class KnowledgeRichPredictor:
         )
 
     def predict_streaming(
-        self, graph: GraphData, *, max_block_nodes: int = 4096, seed: int = 0
+        self,
+        graph: GraphData,
+        *,
+        max_block_nodes: int = 4096,
+        seed: int = 0,
+        partition: PartitionedGraph | None = None,
     ) -> np.ndarray:
-        """Bounded-memory single-graph prediction (rich feature view)."""
+        """Bounded-memory single-graph prediction (rich feature view).
+
+        The view only appends feature columns, so a ``partition`` of the
+        base graph's topology serves the rich graph unchanged.
+        """
         (rich,) = apply_feature_view([graph], "rich")
         return self._inner.predict_streaming(
-            rich, max_block_nodes=max_block_nodes, seed=seed
+            rich, max_block_nodes=max_block_nodes, seed=seed, partition=partition
         )
 
     def evaluate(self, graphs: list[GraphData]) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 from repro.gnn.network import GraphRegressor
 from repro.gnn.streaming import predict_regressor_streaming, supports_streaming
 from repro.graph.data import GraphData
+from repro.graph.partition import PartitionedGraph
 from repro.models.base import PredictorConfig
 from repro.training.checkpoint import CheckpointConfig
 from repro.training.trainer import (
@@ -72,7 +73,12 @@ class OffTheShelfPredictor:
         return predict_regressor(self.model, graphs, batch_size=batch_size)
 
     def predict_streaming(
-        self, graph: GraphData, *, max_block_nodes: int = 4096, seed: int = 0
+        self,
+        graph: GraphData,
+        *,
+        max_block_nodes: int = 4096,
+        seed: int = 0,
+        partition: PartitionedGraph | None = None,
     ) -> np.ndarray:
         """``[4]`` prediction for one (large) graph in bounded memory.
 
@@ -80,15 +86,22 @@ class OffTheShelfPredictor:
         (:func:`repro.gnn.streaming.predict_regressor_streaming`): peak
         memory scales with ``max_block_nodes``, not graph size, and the
         output matches ``predict([graph])[0]`` within float
-        reassociation tolerance. Architectures that need whole-graph
-        state (U-Net, virtual-node) fall back to the full-graph path.
+        reassociation tolerance. ``partition`` reuses a partition built
+        for a graph of the same topology (then ``max_block_nodes`` and
+        ``seed`` are the partition's own). Architectures that need
+        whole-graph state (U-Net, virtual-node) fall back to the
+        full-graph path.
         """
         if self.model is None:
             raise RuntimeError("predictor is not fitted")
         if not supports_streaming(self.model.encoder):
             return self.predict([graph])[0]
         return predict_regressor_streaming(
-            self.model, graph, max_block_nodes=max_block_nodes, seed=seed
+            self.model,
+            graph,
+            partition=partition,
+            max_block_nodes=max_block_nodes,
+            seed=seed,
         )
 
     def evaluate(self, graphs: list[GraphData]) -> np.ndarray:

@@ -29,7 +29,13 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, gather_rows, relation_gather_matmul, relation_matmul
+from repro.tensor import (
+    Tensor,
+    gather_rows,
+    is_grad_enabled,
+    relation_gather_matmul,
+    relation_matmul,
+)
 
 
 class RelationLinear(Module):
@@ -91,14 +97,18 @@ class RelationLinear(Module):
         index = fusion.index(endpoint)
         if path is None:
             path = "block" if len(index) < self.num_relations * len(x) else "stacked"
+        # Both gather plans only accelerate the input-gradient scatter,
+        # so they are built only when that backward can run (an argsort
+        # saved per forward under no_grad).
         if path == "block":
+            needs_plan = is_grad_enabled() and x.requires_grad
             return relation_gather_matmul(
                 x,
                 self.weight,
                 index,
                 fusion.starts,
                 fusion.ends,
-                plan=fusion.plan(endpoint),
+                plan=fusion.plan(endpoint) if needs_plan else None,
                 bias=self.bias,
             )
         if path != "stacked":
@@ -106,7 +116,9 @@ class RelationLinear(Module):
         stacked = self.forward(x)
         flat = stacked.reshape(self.num_relations * len(x), self.out_features)
         return gather_rows(
-            flat, fusion.flat_index(endpoint), plan=fusion.flat_plan(endpoint)
+            flat,
+            fusion.flat_index(endpoint),
+            plan=fusion.flat_plan(endpoint) if flat.requires_grad else None,
         )
 
     def __repr__(self) -> str:

@@ -10,9 +10,17 @@ flight share one model evaluation, and completed results live in an LRU
 keyed by :meth:`GraphData.fingerprint`, so the repeated queries of a DSE
 loop hit memory instead of the model.
 
+Graphs routed to the bounded-memory streaming path reuse their
+partition across requests: a DSE loop's directive variants share one
+topology, so partitions live in a small LRU keyed by the topology digest
+(:meth:`GraphData.fingerprint_context`, hashed once per request and
+reused to finish the request fingerprint) plus node count, block size
+and seed. A partition holds topology only, never a request's features.
+
 The service is deliberately synchronous and single-threaded: batching is
 a throughput device (one fused forward pass over many graphs), not a
-concurrency device.
+concurrency device. Each server worker owns its own service, so none of
+its caches needs a lock.
 """
 
 from __future__ import annotations
@@ -26,11 +34,20 @@ import numpy as np
 
 from repro.faults import fault_point
 from repro.graph.data import GraphData
+from repro.graph.partition import PartitionedGraph, partition_graph
 from repro.graph.validation import validate_inference_graph
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import Predictor, load_predictor
 from repro.serve.encoding import encode_program, encode_source
 from repro.serve.registry import LATEST, ModelRegistry
+from repro.utils.cache import LRUCache
+
+#: Leak guard on the per-service partition cache. A partition is
+#: topology only (CSR, blocks, memoised int32 block edges — ~17 MB for a
+#: 117k-node CDFG); a DSE stream cycles through few topologies at a time.
+STREAM_PARTITION_CACHE_SIZE = 2
+#: Partition seed of the streaming route (part of the cache key).
+STREAM_PARTITION_SEED = 0
 
 
 @dataclass
@@ -77,6 +94,8 @@ _STAT_FIELDS = (
     "model_graphs",
     "bulk_calls",
     "streamed",
+    "stream_partition_hits",
+    "stream_partition_misses",
 )
 
 
@@ -127,11 +146,15 @@ class ServiceStats:
 class _Inflight:
     """One distinct pending graph shared by all its tickets."""
 
-    __slots__ = ("fingerprint", "graph", "value", "error")
+    __slots__ = ("fingerprint", "graph", "topology", "value", "error")
 
-    def __init__(self, fingerprint: str, graph: GraphData):
+    def __init__(
+        self, fingerprint: str, graph: GraphData, topology: str | None = None
+    ):
         self.fingerprint = fingerprint
         self.graph = graph
+        #: Topology digest, when intake already hashed it (streamed graphs).
+        self.topology = topology
         self.value: np.ndarray | None = None
         #: The exception that killed this entry's flush chunk, if any —
         #: surfaced to every ticket on the entry as ``__cause__``.
@@ -193,6 +216,7 @@ class PredictionService:
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._pending: list[_Inflight] = []
         self._inflight: dict[str, _Inflight] = {}
+        self._partitions = LRUCache(STREAM_PARTITION_CACHE_SIZE)
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -265,8 +289,16 @@ class PredictionService:
             except ValueError:
                 self._count["rejected"].inc()
                 raise
+        topology = None
         if fingerprint is None:
-            fingerprint = graph.fingerprint()
+            if self._should_stream(graph):
+                # Hash the topology once: it finishes the request key
+                # here and keys the partition cache at flush time.
+                context = graph.fingerprint_context()
+                topology = context.hexdigest()
+                fingerprint = graph.fingerprint(context=context)
+            else:
+                fingerprint = graph.fingerprint()
         cached = self._cache_get(fingerprint)
         if cached is not None:
             self._count["cache_hits"].inc()
@@ -278,7 +310,7 @@ class PredictionService:
             self._count["coalesced"].inc()
             return PendingPrediction(self, inflight)
         self._count["cache_misses"].inc()
-        entry = _Inflight(fingerprint, graph)
+        entry = _Inflight(fingerprint, graph, topology)
         self._pending.append(entry)
         self._inflight[fingerprint] = entry
         ticket = PendingPrediction(self, entry)
@@ -299,7 +331,9 @@ class PredictionService:
 
         Graphs at or above ``config.stream_nodes`` bypass the fused
         batch: each runs alone through the predictor's bounded-memory
-        ``predict_streaming`` path (errors isolated per graph).
+        ``predict_streaming`` path (errors isolated per graph), over a
+        partition reused from earlier same-topology requests when the
+        partition cache holds one.
         """
         pending, self._pending = self._pending, []
         if not pending:
@@ -317,6 +351,7 @@ class PredictionService:
                     row = self.predictor.predict_streaming(
                         entry.graph,
                         max_block_nodes=self.config.stream_block_nodes,
+                        partition=self._stream_partition(entry),
                     )
                 except Exception as exc:  # noqa: BLE001 - isolate the entry
                     entry.error = exc
@@ -363,6 +398,28 @@ class PredictionService:
         if first_error is not None:
             raise first_error
         return len(pending)
+
+    def _stream_partition(self, entry: _Inflight) -> PartitionedGraph:
+        """The cached partition of ``entry.graph``'s topology, built on a
+        miss (features are never part of it, so it serves every
+        directive variant of the design)."""
+        graph = entry.graph
+        topology = entry.topology or graph.fingerprint_context().hexdigest()
+        block_nodes = self.config.stream_block_nodes
+        key = (topology, graph.num_nodes, block_nodes, STREAM_PARTITION_SEED)
+        partition = self._partitions.get(key)
+        if partition is not None:
+            self._count["stream_partition_hits"].inc()
+            return partition
+        self._count["stream_partition_misses"].inc()
+        # Context cache of 1: streaming walks blocks cyclically, so a
+        # larger LRU never hits; the memoised block topology is what
+        # carries over between requests.
+        partition = partition_graph(
+            graph, block_nodes, seed=STREAM_PARTITION_SEED, context_cache_size=1
+        )
+        self._partitions.put(key, partition)
+        return partition
 
     # -- convenience front-ends -------------------------------------------
     def submit_many(

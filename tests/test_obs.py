@@ -332,6 +332,7 @@ class TestServiceStats:
             "requests", "cache_hits", "cache_misses", "coalesced",
             "rejected", "evictions", "batches", "flushes",
             "model_graphs", "bulk_calls", "streamed",
+            "stream_partition_hits", "stream_partition_misses",
         }
         json.dumps(payload)
 

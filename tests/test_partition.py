@@ -450,3 +450,208 @@ def test_streaming_uses_less_peak_memory_than_full():
     with track_peak_memory(MetricsRegistry()) as streamed:
         predict_regressor_streaming(model, graph, partition=part)
     assert streamed.peak_mb < full.peak_mb
+
+
+# -- topology reuse across same-topology requests --------------------------
+def directive_rewrite(graph: GraphData, seed: int) -> GraphData:
+    """Same topology, rewritten feature columns (a DSE directive point)."""
+    rng = np.random.default_rng([seed, 99])
+    features = graph.node_features.copy()
+    features[:, :4] = rng.random((graph.num_nodes, 4))
+    return graph.with_features(features)
+
+
+def with_resources(graph: GraphData, seed: int = 0) -> GraphData:
+    rng = np.random.default_rng([seed, 7])
+    graph.node_resources = rng.random((graph.num_nodes, 3)).astype(np.float32)
+    return graph
+
+
+class TestPartitionReuse:
+    def _regressor(self, feature_dim, name="rgcn"):
+        return GraphRegressor(
+            name, feature_dim, 16, 2, NUM_TYPES, pooling="mean",
+            rng=np.random.default_rng(0),
+        )
+
+    def _service(self, predictor):
+        from repro.serve.service import PredictionService, ServiceConfig
+
+        return PredictionService(
+            predictor,
+            ServiceConfig(stream_nodes=500, stream_block_nodes=128, validate=False),
+        )
+
+    def _predictor(self, cls, feature_dim):
+        from repro.models.base import PredictorConfig
+
+        return cls(
+            PredictorConfig(
+                model_name="rgcn", hidden_dim=8, num_layers=2,
+                num_edge_types=NUM_TYPES, pooling="mean",
+            )
+        ).build({"graph": feature_dim})
+
+    def test_partition_holds_topology_only(self):
+        graph = make_graph()
+        part = partition_graph(graph, 128, seed=0)
+        assert not hasattr(part, "graph")
+        assert part.num_nodes == graph.num_nodes
+        assert part.edge_index is graph.edge_index
+
+    def test_supplied_partition_streams_the_given_graphs_features(self):
+        # Regression: a supplied partition used to stream the features of
+        # the graph it was built from, silently ignoring ``graph``.
+        base = make_graph()
+        variant = directive_rewrite(base, 1)
+        model = self._regressor(base.feature_dim)
+        part = partition_graph(base, 128, seed=0, context_cache_size=1)
+        reused = predict_regressor_streaming(model, variant, partition=part)
+        fresh = predict_regressor_streaming(model, variant, max_block_nodes=128)
+        np.testing.assert_array_equal(reused, fresh)
+        assert not np.array_equal(
+            reused, predict_regressor_streaming(model, base, partition=part)
+        )
+        classifier = NodeClassifier(
+            "rgcn", base.feature_dim, 16, 2, NUM_TYPES,
+            rng=np.random.default_rng(0),
+        )
+        np.testing.assert_array_equal(
+            predict_node_logits_streaming(classifier, variant, partition=part),
+            predict_node_logits_streaming(classifier, variant, max_block_nodes=128),
+        )
+
+    def test_mismatched_partition_rejected(self):
+        base = make_graph()
+        model = self._regressor(base.feature_dim)
+        part = partition_graph(base, 128, seed=0)
+        other_size = make_graph(num_nodes=601)
+        with pytest.raises(ValueError, match="partition covers"):
+            predict_regressor_streaming(model, other_size, partition=part)
+        rewired_index = base.edge_index.copy()
+        rewired_index[1, 0] = (rewired_index[1, 0] + 1) % base.num_nodes
+        rewired = GraphData(
+            node_features=base.node_features,
+            edge_index=rewired_index,
+            edge_type=base.edge_type,
+            edge_back=base.edge_back,
+        )
+        with pytest.raises(ValueError, match="edge_index differs"):
+            predict_regressor_streaming(model, rewired, partition=part)
+        retyped = GraphData(
+            node_features=base.node_features,
+            edge_index=base.edge_index,
+            edge_type=(base.edge_type + 1) % (NUM_TYPES // 2),
+            edge_back=base.edge_back,
+        )
+        with pytest.raises(ValueError, match="edge_type differs"):
+            predict_node_logits_streaming(
+                NodeClassifier(
+                    "gcn", base.feature_dim, 8, 2, NUM_TYPES,
+                    rng=np.random.default_rng(0),
+                ),
+                retyped,
+                partition=part,
+            )
+
+    def test_features_are_passed_per_call(self):
+        graph = make_graph()
+        model = self._regressor(graph.feature_dim)
+        part = partition_graph(graph, 128, seed=0)
+        with pytest.raises(TypeError, match="features"):
+            stream_node_embeddings(model.encoder, part)
+        with pytest.raises(ValueError, match="feature rows"):
+            stream_node_embeddings(model.encoder, part, graph.node_features[:-1])
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_block_memo_matches_fresh_block_nodes(self, hops):
+        graph = make_graph()
+        part = partition_graph(graph, 128, seed=0)
+        src, dst = graph.edge_index
+        for block in range(part.num_blocks):
+            memo = part.block_topology(block, hops)
+            assert part.block_topology(block, hops) is memo
+            local, core_count = part.block_nodes(block, hops)
+            np.testing.assert_array_equal(memo.local, local)
+            assert memo.core_count == core_count
+            assert memo.local.dtype == np.int32
+            assert memo.edge_index.dtype == np.int32
+            assert memo.edge_type.itemsize == 1
+            # The memoised edges are exactly the full-list induced mask.
+            member = np.zeros(graph.num_nodes, dtype=bool)
+            member[local] = True
+            mask = member[src] & member[dst]
+            np.testing.assert_array_equal(
+                local[memo.edge_index], graph.edge_index[:, mask]
+            )
+            np.testing.assert_array_equal(memo.edge_type, graph.edge_type[mask])
+
+    @pytest.mark.parametrize("approach", ["off_the_shelf", "knowledge_rich"])
+    def test_service_reuse_matches_fresh_partition(self, approach):
+        from repro.models.knowledge_rich import KnowledgeRichPredictor
+        from repro.models.off_the_shelf import OffTheShelfPredictor
+
+        base = with_resources(make_graph(num_nodes=700, seed=1))
+        if approach == "off_the_shelf":
+            predictor = self._predictor(OffTheShelfPredictor, base.feature_dim)
+        else:
+            predictor = self._predictor(KnowledgeRichPredictor, base.feature_dim + 3)
+        service = self._service(predictor)
+        variants = [directive_rewrite(base, seed) for seed in range(4)]
+        for graph in variants:
+            served = service.predict([graph])[0]
+            fresh = predictor.predict_streaming(graph, max_block_nodes=128)
+            np.testing.assert_array_equal(served, fresh)
+            np.testing.assert_allclose(
+                served, predictor.predict([graph])[0], rtol=1e-4
+            )
+        assert service.stats.streamed == len(variants)
+        assert service.stats.stream_partition_misses == 1
+        assert service.stats.stream_partition_hits == len(variants) - 1
+
+    def test_hit_miss_counters_and_rewired_topology(self):
+        from repro.models.off_the_shelf import OffTheShelfPredictor
+
+        base = make_graph(num_nodes=700, seed=1)
+        predictor = self._predictor(OffTheShelfPredictor, base.feature_dim)
+        service = self._service(predictor)
+        for seed in range(3):
+            service.predict([directive_rewrite(base, seed)])
+        assert service.stats.stream_partition_misses == 1
+        assert service.stats.stream_partition_hits == 2
+        # One rewired edge, same node and edge counts: a new topology.
+        edge_index = base.edge_index.copy()
+        edge_index[1, 0] = (edge_index[1, 0] + 1) % base.num_nodes
+        rewired = GraphData(
+            node_features=directive_rewrite(base, 0).node_features,
+            edge_index=edge_index,
+            edge_type=base.edge_type,
+            edge_back=base.edge_back,
+        )
+        served = service.predict([rewired])[0]
+        assert service.stats.stream_partition_misses == 2
+        assert service.stats.stream_partition_hits == 2
+        np.testing.assert_array_equal(
+            served, predictor.predict_streaming(rewired, max_block_nodes=128)
+        )
+        np.testing.assert_allclose(served, predictor.predict([rewired])[0], rtol=1e-4)
+
+    def test_cached_partition_never_pins_features(self):
+        import gc
+        import weakref
+
+        from repro.models.off_the_shelf import OffTheShelfPredictor
+
+        base = make_graph(num_nodes=700, seed=1)
+        predictor = self._predictor(OffTheShelfPredictor, base.feature_dim)
+        service = self._service(predictor)
+        request = directive_rewrite(base, 5)
+        features = weakref.ref(request.node_features)
+        service.predict([request])
+        assert service.stats.stream_partition_misses == 1
+        del request
+        gc.collect()
+        assert features() is None
+        # The cached partition still serves the next variant.
+        service.predict([directive_rewrite(base, 6)])
+        assert service.stats.stream_partition_hits == 1

@@ -36,6 +36,7 @@ from repro.tensor import (
     get_default_dtype,
     gradcheck,
     linear_act,
+    no_grad,
     relation_gather_matmul,
     relation_matmul,
     set_default_dtype,
@@ -396,6 +397,37 @@ def test_fusion_norm_matches_relation_counts():
         np.testing.assert_allclose(
             norm[s:e, 0], 1.0 / counts[dst], atol=1e-12
         )
+
+
+class TestLazyBackwardPlans:
+    """Gather plans serve only the input-gradient scatter, so forwards
+    that cannot run a backward never build them."""
+
+    def test_no_grad_rgcn_forward_leaves_plans_empty(self, rng):
+        ctx = make_context(num_nodes=50, num_edges=12)  # block path
+        layer = build_layer("rgcn", DIM, DIM, RELATIONS, rng)
+        x = Tensor(rng.normal(size=(50, DIM)), requires_grad=True)
+        with no_grad():
+            out = layer(x, ctx)
+        fusion = ctx.relation_fusion(RELATIONS)
+        assert len(fusion._plans) == 0
+        # Same values as a grad-enabled forward, which does plan.
+        planned = layer(x, ctx)
+        assert len(fusion._plans) > 0
+        np.testing.assert_array_equal(out.data, planned.data)
+
+    def test_stacked_gather_plans_only_with_grad(self, rng):
+        ctx = make_context(num_nodes=9, num_edges=40)
+        fusion = ctx.relation_fusion(RELATIONS)
+        rel = RelationLinear(DIM, DIM, RELATIONS, rng=rng)
+        x = Tensor(rng.normal(size=(9, DIM)))
+        with no_grad():
+            rel.edge_messages(x, fusion, path="stacked")
+        assert len(fusion._flat) == 0
+        out = rel.edge_messages(x, fusion, path="stacked")
+        assert len(fusion._flat) == 1
+        out.sum().backward()
+        assert rel.weight.grad is not None
 
 
 # ---------------------------------------------------------------------------
