@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -35,6 +34,7 @@ import numpy as np
 from repro.dataset.io import pack_samples, unpack_samples
 from repro.graph.data import GraphData
 from repro.integrity import IntegrityError, digest_file, load_npz_verified
+from repro.utils.cache import LRUCache
 
 #: Bump on any incompatible change to the manifest/shard layout.
 SHARD_SCHEMA_VERSION = 1
@@ -197,7 +197,7 @@ class ShardedDataset(Sequence[GraphData]):
         if cache_shards < 1:
             raise ValueError("cache_shards must be >= 1")
         self.cache_shards = cache_shards
-        self._cache: OrderedDict[int, list[GraphData]] = OrderedDict()
+        self._cache = LRUCache(cache_shards)
         self._starts = np.array(
             [info.start for info in self.manifest.shards], dtype=np.int64
         )
@@ -215,15 +215,10 @@ class ShardedDataset(Sequence[GraphData]):
         return self._length
 
     def _shard(self, shard_index: int) -> list[GraphData]:
-        cached = self._cache.get(shard_index)
-        if cached is not None:
-            self._cache.move_to_end(shard_index)
-            return cached
-        samples = read_shard(self.root, self.manifest.shards[shard_index])
-        self._cache[shard_index] = samples
-        while len(self._cache) > self.cache_shards:
-            self._cache.popitem(last=False)
-        return samples
+        return self._cache.get_or_create(
+            shard_index,
+            lambda: read_shard(self.root, self.manifest.shards[shard_index]),
+        )
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -13,7 +13,7 @@ the numpy-backend hot path — :class:`~repro.tensor.SegmentPlan` objects
 turning every scatter/gather in the layer stack into planned kernels.
 Plans and fused SpMM operators are built by the *active scatter
 backend* (:mod:`repro.tensor.backends`: ``csr``, ``numpy-reduceat``,
-``bucketed``, ...) and cached **per backend name**, so a session that
+``bucketed``, ...) and memoised **per backend name**, so a session that
 switches backends mid-stream — a benchmark sweep, a serving tier pinned
 to ``bucketed`` next to a trainer on ``csr`` — never executes one
 backend's kernels through another's cached plans. The relation
@@ -47,17 +47,7 @@ from repro.tensor import (
     plans_enabled,
     scatter_sum,
 )
-from repro.utils.cache import LRUCache
-
-#: Bounds on the per-context plan/operator caches. A context serves a
-#: fixed topology, so the key space is small (5 named plans x backends,
-#: one GCN operator per backend, one fusion per stacked-weight depth) —
-#: the LRU is a leak guard for long mixed-backend streams, not a tuning
-#: knob.
-PLAN_CACHE_SIZE = 32
-GCN_OPERATOR_CACHE_SIZE = 4
-RELATION_PLAN_CACHE_SIZE = 64
-RELATION_FUSION_CACHE_SIZE = 4
+from repro.utils.cache import memoize
 
 
 class GraphContext:
@@ -139,53 +129,46 @@ class GraphContext:
             .reshape(-1, 1)
         )
 
-        # Every cache below keys by the active scatter backend's name, so
-        # plans/operators built by one backend are never executed by
-        # another (mixed-backend sessions stay isolated). All are
-        # LRU-bounded: a stream that cycles through many backends or
-        # stacked-weight depths must not grow them without limit.
-        self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
-        self._gcn_operators = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-        self._relation_plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._relation_fusions = LRUCache(RELATION_FUSION_CACHE_SIZE)
+        # Everything built lazily over this topology, keyed by what it
+        # builds plus — for kernels — the active scatter backend's name,
+        # so plans/operators built by one backend are never executed by
+        # another (mixed-backend sessions stay isolated). The key space
+        # is finite and the memo dies with the context: no bound needed.
+        self._memo: dict = {}
 
     @classmethod
     def from_batch(cls, batch: Batch, num_edge_types: int) -> "GraphContext":
-        """Context for ``batch``, cached on the batch per ``num_edge_types``.
+        """Context for ``batch``, memoised on the batch per ``num_edge_types``.
 
         Repeated forwards over the same :class:`Batch` object (every
         epoch of a training run) get the same context — and with it the
         same precomputed scatter plans.
         """
-        cache = getattr(batch, "_context_cache", None)
-        if cache is not None:
-            ctx = cache.get(int(num_edge_types))
-            if ctx is not None:
-                return ctx
-        ctx = cls(
-            edge_index=batch.edge_index,
-            edge_type=batch.edge_type,
-            num_nodes=batch.num_nodes,
-            batch=batch.batch,
-            num_graphs=batch.num_graphs,
-            num_edge_types=num_edge_types,
+        return memoize(
+            batch._memo,
+            ("context", int(num_edge_types)),
+            lambda: cls(
+                edge_index=batch.edge_index,
+                edge_type=batch.edge_type,
+                num_nodes=batch.num_nodes,
+                batch=batch.batch,
+                num_graphs=batch.num_graphs,
+                num_edge_types=num_edge_types,
+            ),
         )
-        if cache is not None:
-            cache.put(int(num_edge_types), ctx)
-        return ctx
 
     # -- precomputed scatter plans (lazy, once per context per backend) --
     def _plan(
         self, key: str, index: np.ndarray, dim_size: int, assume_sorted: bool = False
     ) -> SegmentPlan:
         backend = active_backend()
-        plan = self._plan_cache.get((backend.name, key))
-        if plan is None:
-            plan = backend.build_plan(
+        return memoize(
+            self._memo,
+            ("plan", backend.name, key),
+            lambda: backend.build_plan(
                 index, dim_size, validate=False, assume_sorted=assume_sorted
-            )
-            self._plan_cache.put((backend.name, key), plan)
-        return plan
+            ),
+        )
 
     @property
     def sym_dst_plan(self) -> SegmentPlan:
@@ -250,14 +233,14 @@ class GraphContext:
 
         ``num_relations`` is the *layer's* stacked-weight depth (it may
         exceed the context's direction-aware relation count, in which
-        case only the context's relations carry edges). Cached per depth;
-        all layers of a network share one fusion per context.
+        case only the context's relations carry edges). Memoised per
+        depth; all layers of a network share one fusion per context.
         """
-        fusion = self._relation_fusions.get(int(num_relations))
-        if fusion is None:
-            fusion = RelationFusion(self, int(num_relations))
-            self._relation_fusions.put(int(num_relations), fusion)
-        return fusion
+        return memoize(
+            self._memo,
+            ("fusion", int(num_relations)),
+            lambda: RelationFusion(self, int(num_relations)),
+        )
 
     def relation_plans(self, relation: int) -> tuple[SegmentPlan, SegmentPlan]:
         """(src_plan, dst_plan) for relation ``relation``'s edge slice.
@@ -267,17 +250,17 @@ class GraphContext:
         the slice is dst-sorted by construction).
         """
         backend = active_backend()
-        plans = self._relation_plans.get((backend.name, relation))
-        if plans is None:
+
+        def build() -> tuple[SegmentPlan, SegmentPlan]:
             src, dst = self.relation_edges(relation)
-            plans = (
+            return (
                 backend.build_plan(src, self.num_nodes, validate=False),
                 backend.build_plan(
                     dst, self.num_nodes, validate=False, assume_sorted=True
                 ),
             )
-            self._relation_plans.put((backend.name, relation), plans)
-        return plans
+
+        return memoize(self._memo, ("relation_plans", backend.name, relation), build)
 
     def _gcn_operator(self):
         """The ``Â`` SpMM operator of the active backend, or ``None``.
@@ -285,12 +268,13 @@ class GraphContext:
         The whole GCN propagation — gather, edge-wise normalisation,
         scatter — collapses into one sparse matvec per direction (the
         adjoint serves the backward); duplicate (dst, src) pairs sum on
-        conversion, matching the scatter semantics. Cached per backend
+        conversion, matching the scatter semantics. Memoised per backend
         name so mixed-backend sessions never share kernels.
         """
         backend = active_backend()
-        return self._gcn_operators.get_or_create(
-            backend.name,
+        return memoize(
+            self._memo,
+            ("gcn_operator", backend.name),
             lambda: backend.sparse_operator(
                 self.gcn_dst,
                 self.gcn_src,
@@ -343,7 +327,7 @@ class RelationFusion:
     triples, this hands them ONE relation-partitioned edge array: the
     context's lexsorted-by-(relation, dst) edges restricted to the
     relations the layer covers, with run bounds ``[starts[r], ends[r])``
-    per relation. On top of it live, all built lazily and cached:
+    per relation. On top of it live, all built lazily and memoised:
 
     - ``plan(endpoint)`` — scatter plans over the full partitioned src /
       dst vectors (one scatter for ALL relations instead of R);
@@ -375,16 +359,10 @@ class RelationFusion:
         self.starts = starts[:active]
         self.ends = ends[:active]
         self.num_edges = stop
-        # Plan/operator caches key by the active backend's name so each
-        # backend executes only kernels it built itself. LRU-bounded like
-        # the context caches (backends x endpoints x dtypes is small, but
-        # streaming sessions must not leak even across odd mixes).
-        self._plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._flat_index = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._flat = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._norms = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-        self._collect_ops = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._edge_ops = LRUCache(GCN_OPERATOR_CACHE_SIZE)
+        # One memo like the context's: plan/operator keys carry the
+        # active backend's name so each backend executes only kernels it
+        # built itself.
+        self._memo: dict = {}
 
     def prefer_block(self, num_nodes: int) -> bool:
         """Whether the gather-by-relation block kernel transforms fewer
@@ -402,13 +380,13 @@ class RelationFusion:
     def plan(self, endpoint: str) -> SegmentPlan:
         """Scatter plan of ``index(endpoint)`` into the node table."""
         backend = active_backend()
-        plan = self._plans.get((backend.name, endpoint))
-        if plan is None:
-            plan = backend.build_plan(
+        return memoize(
+            self._memo,
+            ("plan", backend.name, endpoint),
+            lambda: backend.build_plan(
                 self.index(endpoint), self.num_nodes, validate=False
-            )
-            self._plans.put((backend.name, endpoint), plan)
-        return plan
+            ),
+        )
 
     @cached_property
     def _relation_ids(self) -> np.ndarray:
@@ -419,8 +397,9 @@ class RelationFusion:
 
     def flat_index(self, endpoint: str) -> np.ndarray:
         """Row ids into the ``[num_relations * N, D]`` stacked transform."""
-        return self._flat_index.get_or_create(
-            endpoint,
+        return memoize(
+            self._memo,
+            ("flat_index", endpoint),
             lambda: self._relation_ids * self.num_nodes + self.index(endpoint),
         )
 
@@ -428,8 +407,9 @@ class RelationFusion:
         """Backward plan of gathering ``flat_index`` from the stacked rows
         (built on first request — forwards without a backward skip it)."""
         backend = active_backend()
-        return self._flat.get_or_create(
-            (backend.name, endpoint),
+        return memoize(
+            self._memo,
+            ("flat_plan", backend.name, endpoint),
             lambda: backend.build_plan(
                 self.flat_index(endpoint),
                 self.num_relations * self.num_nodes,
@@ -442,20 +422,20 @@ class RelationFusion:
 
         Multiplying messages by it and scatter-summing over ``dst``
         reproduces the per-relation ``scatter_mean`` semantics in one
-        fused scatter. Cached per dtype so mixed float32/float64 runs
+        fused scatter. Memoised per dtype so mixed float32/float64 runs
         over one context stay in their own precision.
         """
         dtype = np.dtype(dtype)
-        norm = self._norms.get(dtype)
-        if norm is None:
+
+        def build() -> np.ndarray:
             # One flat bincount over the (relation, dst) key — no
             # per-relation loop.
             key = self._relation_ids * self.num_nodes + self.dst
             counts = np.bincount(key)
             inv = 1.0 / counts[key] if self.num_edges else np.empty(0)
-            norm = inv.astype(dtype).reshape(-1, 1)
-            self._norms.put(dtype, norm)
-        return norm
+            return inv.astype(dtype).reshape(-1, 1)
+
+        return memoize(self._memo, ("norm", dtype), build)
 
     # -- fused SpMM operators (gather + normalise + scatter in one matvec) --
     def _collect_operator(self, dtype, weighted: bool):
@@ -464,7 +444,6 @@ class RelationFusion:
         ``1/c_{v,r}``-weighted); the adjoint serves the backward.
         ``None`` when the active backend has no fused operator."""
         backend = active_backend()
-        key = (backend.name, np.dtype(dtype), weighted)
 
         def build():
             data = (
@@ -479,16 +458,18 @@ class RelationFusion:
                 (self.num_nodes, self.num_relations * self.num_nodes),
             )
 
-        return self._collect_ops.get_or_create(key, build)
+        return memoize(
+            self._memo, ("collect", backend.name, np.dtype(dtype), weighted), build
+        )
 
     def _edge_operator(self, dtype):
         """``[N, E]`` SpMM operator landing per-edge messages on their dst
         rows with the ``1/c_{v,r}`` weight applied. ``None`` when the
         active backend has no fused operator."""
         backend = active_backend()
-        key = (backend.name, np.dtype(dtype))
-        return self._edge_ops.get_or_create(
-            key,
+        return memoize(
+            self._memo,
+            ("edge_operator", backend.name, np.dtype(dtype)),
             lambda: backend.sparse_operator(
                 self.dst,
                 np.arange(self.num_edges),

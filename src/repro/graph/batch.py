@@ -11,13 +11,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.data import GraphData
-from repro.utils.cache import LRUCache
-
-#: Bound on the per-batch context cache. One batch normally serves one
-#: ``num_edge_types`` (a network's edge vocabulary), so 4 distinct keys
-#: is already an unusual session — the LRU is the leak guard for long
-#: streams that batch the same graphs under many vocabularies.
-CONTEXT_CACHE_SIZE = 4
 
 
 class Batch:
@@ -57,13 +50,13 @@ class Batch:
             if all(g.node_resources is not None for g in graphs)
             else None
         )
-        #: Per-``num_edge_types`` GraphContext cache, filled by
+        #: Per-``num_edge_types`` GraphContext memo, filled by
         #: :meth:`repro.gnn.message_passing.GraphContext.from_batch` so a
-        #: reused batch (epoch loops, repeated service flushes) pays for
-        #: topology precomputation — symmetrisation, GCN norms, scatter
-        #: plans — exactly once. LRU-bounded: contexts hold plans and
-        #: operators, and an unbounded map leaks them over long streams.
-        self._context_cache = LRUCache(CONTEXT_CACHE_SIZE)
+        #: reused batch (the trainer's epoch loops over pinned batches)
+        #: pays for topology precomputation — symmetrisation, GCN norms,
+        #: scatter plans — exactly once. The serving tier builds a fresh
+        #: batch per flush, so it never hits this memo.
+        self._memo: dict = {}
         self._core_index: np.ndarray | None | bool = False
 
     @property

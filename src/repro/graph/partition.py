@@ -19,8 +19,8 @@ into pieces that fit a memory budget:
 - :class:`NeighborSampler` — seeded per-layer fan-in capping for
   mini-batch training. The per-node sample draws from an independent
   ``SeedSequence(entropy=seed, spawn_key=(layer, node))`` stream, the
-  same contract as :func:`repro.ldrgen.generator.sample_seed`, so the
-  output is bitwise-identical for any worker count or chunk order.
+  same contract as :func:`repro.ldrgen.generator.sample_seed`, so
+  repeat calls are bitwise-identical.
 - :class:`SampledNodeDataset` — a lazy ``Sequence[GraphData]`` of
   sampled subgraphs that plugs straight into the trainer's
   ``BatchStream`` streaming mode; seed nodes come first in each
@@ -59,7 +59,7 @@ from repro.utils.cache import LRUCache
 #: and defeat the bounded-memory point, so the default keeps only a few
 #: hot blocks (layer-wise streaming visits blocks round-robin and mostly
 #: reuses the plans within one block visit).
-BLOCK_CONTEXT_CACHE_SIZE = 4
+BLOCK_CONTEXT_LRU_SIZE = 4
 
 
 def _symmetric_csr(
@@ -131,7 +131,7 @@ class PartitionedGraph:
         assignment: np.ndarray,
         seed: int,
         max_block_nodes: int,
-        context_cache_size: int = BLOCK_CONTEXT_CACHE_SIZE,
+        context_cache_size: int = BLOCK_CONTEXT_LRU_SIZE,
         csr: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.num_nodes = graph.num_nodes
@@ -324,7 +324,7 @@ def partition_graph(
     seed: int = 0,
     refine_passes: int = 2,
     max_block_degree: int | None = None,
-    context_cache_size: int = BLOCK_CONTEXT_CACHE_SIZE,
+    context_cache_size: int = BLOCK_CONTEXT_LRU_SIZE,
 ) -> PartitionedGraph:
     """Deterministic degree-bounded block partition of ``graph``.
 
@@ -476,9 +476,9 @@ class NeighborSampler:
     ``fanouts[l]`` caps how many neighbors each frontier node of layer
     ``l`` contributes to the receptive field. Each node's sample draws
     from its own ``SeedSequence(entropy=seed, spawn_key=(layer, node))``
-    stream — worker count and chunk order cannot change the draw, so
-    :meth:`sample` is bitwise-deterministic (the contract the dataset
-    pipeline already relies on for program generation).
+    stream — visiting order cannot change the draw, so :meth:`sample`
+    is bitwise-deterministic (the contract the dataset pipeline already
+    relies on for program generation).
     """
 
     def __init__(self, graph: GraphData, fanouts: Sequence[int], seed: int = 0):
@@ -513,7 +513,7 @@ class NeighborSampler:
         chosen = rng.choice(len(neighbors), size=fanout, replace=False)
         return neighbors[np.sort(chosen)]
 
-    def sample_nodes(self, seeds: Sequence[int], workers: int = 1) -> np.ndarray:
+    def sample_nodes(self, seeds: Sequence[int]) -> np.ndarray:
         """Sampled receptive field of ``seeds``: seed nodes first (input
         order, deduplicated), then support nodes ascending."""
         seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
@@ -522,18 +522,11 @@ class NeighborSampler:
         selected = np.zeros(self.graph.num_nodes, dtype=bool)
         selected[seeds] = True
         frontier = seeds
-        workers = max(1, int(workers))
         for layer in range(len(self.fanouts)):
-            picked: list[np.ndarray] = []
-            # Chunking mirrors a worker pool split; per-node seeding makes
-            # the result independent of it.
-            for chunk in np.array_split(frontier, min(workers, max(len(frontier), 1))):
-                picked.extend(
-                    self._sample_neighbors(layer, int(node)) for node in chunk
-                )
+            picked = [self._sample_neighbors(layer, int(node)) for node in frontier]
             if not picked:
                 break
-            neighbors = np.unique(np.concatenate(picked)) if picked else frontier[:0]
+            neighbors = np.unique(np.concatenate(picked))
             fresh = neighbors[~selected[neighbors]]
             if fresh.size == 0:
                 break
@@ -543,14 +536,14 @@ class NeighborSampler:
         support = support[~np.isin(support, seeds)]
         return np.concatenate([seeds, support])
 
-    def sample(self, seeds: Sequence[int], workers: int = 1) -> GraphData:
+    def sample(self, seeds: Sequence[int]) -> GraphData:
         """Induced subgraph on the sampled receptive field of ``seeds``.
 
         Seed nodes come first; ``meta["sampled_core"]`` records how many,
         so :attr:`repro.graph.batch.Batch.core_index` can mask losses and
         metrics to rows whose receptive field is honest.
         """
-        nodes = self.sample_nodes(seeds, workers=workers)
+        nodes = self.sample_nodes(seeds)
         graph = self.graph
         remap = np.full(graph.num_nodes, -1, dtype=np.int64)
         remap[nodes] = np.arange(len(nodes))
@@ -598,7 +591,6 @@ class SampledNodeDataset(Sequence):
         seed_batches: Sequence[np.ndarray] | None = None,
         *,
         seeds_per_graph: int = 64,
-        workers: int = 1,
     ):
         self.sampler = sampler
         if seed_batches is None:
@@ -608,13 +600,12 @@ class SampledNodeDataset(Sequence):
                 for start in range(0, len(all_nodes), seeds_per_graph)
             ]
         self.seed_batches = [np.asarray(b, dtype=np.int64) for b in seed_batches]
-        self.workers = int(workers)
 
     def __len__(self) -> int:
         return len(self.seed_batches)
 
     def __getitem__(self, index: int) -> GraphData:
-        return self.sampler.sample(self.seed_batches[index], workers=self.workers)
+        return self.sampler.sample(self.seed_batches[index])
 
     def gather(self, chunk: Sequence[int]) -> list[GraphData]:
         """Batch-build the subgraphs for one schedule chunk."""

@@ -81,6 +81,7 @@ from repro.serve.service import (
     PredictionService,
     ServiceConfig,
     ServiceStats,
+    validate_request,
 )
 
 __all__ = [
@@ -440,16 +441,6 @@ class PredictionServer:
             if predictor is not None
             else self._registry.load(self._name, self._version)
         )
-        self._boundary = PredictionService(
-            self._template,
-            ServiceConfig(
-                max_batch_size=self.config.max_batch_size,
-                cache_size=0,
-                validate=True,
-            ),
-            metrics=MetricsRegistry(),  # throwaway: boundary never predicts
-        )
-
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             reset_s=self.config.breaker_reset_s,
@@ -527,7 +518,7 @@ class PredictionServer:
         assert graph is not None
         if self.config.validate:
             try:
-                self._boundary._validate(graph)
+                validate_request(self._template, graph)
             except ValueError:
                 self._count["rejected"].inc()
                 raise

@@ -26,7 +26,6 @@ its caches needs a lock.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +78,35 @@ class ServiceConfig:
             raise ValueError("stream_nodes must be >= 0")
         if self.stream_block_nodes < 1:
             raise ValueError("stream_block_nodes must be >= 1")
+
+
+def validate_request(predictor: Predictor, graph: GraphData) -> None:
+    """Boundary check of one request graph against ``predictor``.
+
+    Views are derived inside the predictor, so the boundary expects
+    *base* features: the rich view appends 3 resource columns to the
+    recorded model input, the hierarchical graph stage consumes the node
+    stage's width plus 3 inferred bits. Raises ``ValueError``.
+    """
+    dims = predictor.input_dims
+    view = predictor.feature_view
+    if view == "rich":
+        feature_dim = dims["graph"] - 3
+    elif view == "infused":
+        feature_dim = dims["node"]
+    else:
+        feature_dim = dims["graph"]
+    validate_inference_graph(
+        graph,
+        feature_dim=feature_dim,
+        num_edge_types=predictor.config.num_edge_types,
+    )
+    if predictor.requires_hls and graph.node_resources is None:
+        raise ValueError(
+            "this predictor consumes intermediate HLS results; encode "
+            "requests with node_resources (see encode_source(..., "
+            "with_hls_resources=True))"
+        )
 
 
 #: Counter names under the ``serve.`` metrics namespace, in report order.
@@ -213,7 +241,11 @@ class PredictionService:
         }
         self._request_latency = self.metrics.timer("serve.request_latency_s")
         self._batch_latency = self.metrics.timer("serve.batch_latency_s")
-        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        #: Result LRU keyed by request fingerprint; ``None`` when
+        #: ``cache_size`` is 0 (no caching at all).
+        self._cache = (
+            LRUCache(self.config.cache_size) if self.config.cache_size else None
+        )
         self._pending: list[_Inflight] = []
         self._inflight: dict[str, _Inflight] = {}
         self._partitions = LRUCache(STREAM_PARTITION_CACHE_SIZE)
@@ -236,36 +268,6 @@ class PredictionService:
         return cls(ModelRegistry(root).load(name, version), config=config)
 
     # -- request intake --------------------------------------------------
-    @property
-    def expected_feature_dim(self) -> int:
-        """Base feature width a request graph must carry.
-
-        Views are derived inside the predictor, so the boundary expects
-        *base* features: the rich view appends 3 resource columns to the
-        recorded model input, the hierarchical graph stage consumes the
-        node stage's width plus 3 inferred bits.
-        """
-        dims = self.predictor.input_dims
-        view = self.predictor.feature_view
-        if view == "rich":
-            return dims["graph"] - 3
-        if view == "infused":
-            return dims["node"]
-        return dims["graph"]
-
-    def _validate(self, graph: GraphData) -> None:
-        validate_inference_graph(
-            graph,
-            feature_dim=self.expected_feature_dim,
-            num_edge_types=self.predictor.config.num_edge_types,
-        )
-        if self.predictor.requires_hls and graph.node_resources is None:
-            raise ValueError(
-                "this predictor consumes intermediate HLS results; encode "
-                "requests with node_resources (see encode_source(..., "
-                "with_hls_resources=True))"
-            )
-
     def _should_stream(self, graph: GraphData) -> bool:
         """Route large graphs through the bounded-memory streaming path."""
         return (
@@ -285,7 +287,7 @@ class PredictionService:
         self._count["requests"].inc()
         if self.config.validate:
             try:
-                self._validate(graph)
+                validate_request(self.predictor, graph)
             except ValueError:
                 self._count["rejected"].inc()
                 raise
@@ -497,21 +499,14 @@ class PredictionService:
 
     # -- cache -----------------------------------------------------------
     def _cache_get(self, fingerprint: str) -> np.ndarray | None:
-        if self.config.cache_size == 0:
-            return None
-        value = self._cache.get(fingerprint)
-        if value is not None:
-            self._cache.move_to_end(fingerprint)
-        return value
+        return self._cache.get(fingerprint) if self._cache is not None else None
 
     def _cache_put(self, fingerprint: str, value: np.ndarray) -> None:
-        if self.config.cache_size == 0:
-            return
-        self._cache[fingerprint] = value
-        self._cache.move_to_end(fingerprint)
-        while len(self._cache) > self.config.cache_size:
-            self._cache.popitem(last=False)
-            self._count["evictions"].inc()
+        if self._cache is not None:
+            evicted = self._cache.put(fingerprint, value)
+            if evicted:
+                self._count["evictions"].inc(evicted)
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        if self._cache is not None:
+            self._cache.clear()

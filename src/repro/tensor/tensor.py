@@ -31,13 +31,22 @@ test suite does) or by wrapping the check in ``default_dtype(np.float64)``.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.tensor import profiling as _profiling
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread autograd switch: serving workers predicting under
+    :func:`no_grad` concurrently must not restore each other's state."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 
@@ -69,19 +78,18 @@ def default_dtype(dtype):
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction in this thread."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -157,7 +165,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._grad_owned = False
@@ -226,7 +234,7 @@ class Tensor:
         out.grad = None
         out._grad_owned = False
         out.name = ""
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        needs = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         if needs:
             out._parents = tuple(parents)

@@ -1,22 +1,36 @@
-"""Small bounded caches.
+"""The repo's two cache policies, chosen by the key space.
 
-Long streaming sessions touch many graphs and many partition blocks; the
-plan/context caches they populate must not grow with the stream length.
-:class:`LRUCache` is the one eviction policy used across the repo — a
-plain ``OrderedDict`` with move-to-front on hit and drop-oldest on
-overflow, no threads, no TTLs.
+- :func:`memoize` — one plain dict per object for caches whose keys are
+  finite and fixed by the object: a batch's topology (scatter plans,
+  fused operators, relation fusions, contexts) keyed by backend name,
+  endpoint, dtype, relation id or stacked depth. The memo lives exactly
+  as long as its owner, so it needs no bound, and adding a scatter
+  backend adds keys, nothing else. ``None`` is cached like any value (a
+  backend without a fused operator answers once).
+- :class:`LRUCache` — the one eviction policy, for caches whose keys
+  grow with traffic: the serving tier's result and partition caches,
+  the shard reader's decoded shards, a partition's block contexts. A
+  plain ``OrderedDict`` with move-to-front on hit and drop-oldest on
+  overflow, no threads, no TTLs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Hashable
 from typing import TypeVar
 
-K = TypeVar("K")
 V = TypeVar("V")
 
 _MISSING = object()
+
+
+def memoize(memo: dict, key: Hashable, build: Callable[[], V]) -> V:
+    """``memo[key]``, set to ``build()`` on the first request for ``key``."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build()
+    return value
 
 
 class LRUCache:
@@ -27,57 +41,36 @@ class LRUCache:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __iter__(self) -> Iterator:
-        return iter(self._data)
-
-    def __getitem__(self, key):
-        """Dict-style read (counts as a use for eviction ordering)."""
-        value = self._data[key]
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
-
-    def keys(self):
-        return self._data.keys()
-
-    def items(self):
-        return self._data.items()
-
     def get(self, key, default=None):
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
-            self.misses += 1
             return default
-        self.hits += 1
         self._data.move_to_end(key)
         return value
 
-    def put(self, key, value) -> None:
+    def put(self, key, value) -> int:
+        """Insert ``key`` as most recent; returns how many entries it evicted."""
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
+        evicted = 0
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-            self.evictions += 1
+            evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def get_or_create(self, key, factory: Callable[[], V]) -> V:
         """Return the cached value for ``key``, building it on a miss."""
         value = self._data.get(key, _MISSING)
         if value is not _MISSING:
-            self.hits += 1
             self._data.move_to_end(key)
             return value
-        self.misses += 1
         value = factory()
         self.put(key, value)
         return value

@@ -1,10 +1,10 @@
 """Partitioned graphs, neighbor sampling and bounded-memory streaming.
 
-Covers PR 10's invariants: deterministic degree-bounded partitions with
-halo closure, monotone edge-cut refinement, bitwise-deterministic
-neighbor sampling independent of worker count, layer-wise streaming
-parity with the full-graph forward, bounded plan/context caches, the
-serving tier's streaming route, and the tracemalloc peak-memory gauge.
+Covers deterministic degree-bounded partitions with halo closure,
+monotone edge-cut refinement, bitwise-deterministic neighbor sampling,
+layer-wise streaming parity with the full-graph forward, the bounded
+block-context LRU and the per-batch context memo, the serving tier's
+streaming route, and the tracemalloc peak-memory gauge.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from repro.gnn.streaming import (
     stream_node_embeddings,
     supports_streaming,
 )
-from repro.graph.batch import CONTEXT_CACHE_SIZE, Batch
+from repro.graph.batch import Batch
 from repro.graph.data import GraphData
 from repro.graph.partition import (
-    BLOCK_CONTEXT_CACHE_SIZE,
+    BLOCK_CONTEXT_LRU_SIZE,
     NeighborSampler,
     PartitionedGraph,
     SampledNodeDataset,
@@ -133,10 +133,10 @@ class TestPartitioner:
     def test_block_context_cache_bounded(self):
         graph = make_graph()
         part = partition_graph(graph, 64, seed=0)
-        assert part.num_blocks > BLOCK_CONTEXT_CACHE_SIZE
+        assert part.num_blocks > BLOCK_CONTEXT_LRU_SIZE
         for block in range(part.num_blocks):
             part.block_context(block, NUM_TYPES)
-        assert len(part._context_cache) <= BLOCK_CONTEXT_CACHE_SIZE
+        assert len(part._context_cache) <= BLOCK_CONTEXT_LRU_SIZE
         assert part._context_cache.evictions > 0
 
 
@@ -146,13 +146,12 @@ class TestNeighborSampler:
         graph = make_graph(seed=2)
         sampler = NeighborSampler(graph, fanouts=[4, 4], seed=9)
         seeds = np.arange(0, 120, 3)
-        reference = sampler.sample_nodes(seeds, workers=1)
-        for workers in (2, 3, 16):
-            np.testing.assert_array_equal(
-                sampler.sample_nodes(seeds, workers=workers), reference
-            )
-        sub_a = sampler.sample(seeds, workers=1)
-        sub_b = sampler.sample(seeds, workers=7)
+        reference = sampler.sample_nodes(seeds)
+        np.testing.assert_array_equal(sampler.sample_nodes(seeds), reference)
+        fresh = NeighborSampler(graph, fanouts=[4, 4], seed=9)
+        np.testing.assert_array_equal(fresh.sample_nodes(seeds), reference)
+        sub_a = sampler.sample(seeds)
+        sub_b = sampler.sample(seeds)
         np.testing.assert_array_equal(sub_a.node_features, sub_b.node_features)
         np.testing.assert_array_equal(sub_a.edge_index, sub_b.edge_index)
 
@@ -281,14 +280,14 @@ class TestStreamingParity:
         assert model.training
 
 
-# -- bounded caches --------------------------------------------------------
+# -- caches ----------------------------------------------------------------
 class TestBoundedCaches:
     def test_lru_evicts_oldest(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b"
+        assert cache.put("c", 3) == 1  # evicts "b"
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.evictions == 1
@@ -296,22 +295,30 @@ class TestBoundedCaches:
 
     def test_lru_get_or_create_counts(self):
         cache = LRUCache(4)
-        assert cache.get_or_create("k", lambda: 7) == 7
-        assert cache.get_or_create("k", lambda: 8) == 7
-        assert cache.hits == 1 and cache.misses == 1
+        builds = []
+
+        def build(value):
+            builds.append(value)
+            return value
+
+        assert cache.get_or_create("k", lambda: build(7)) == 7
+        assert cache.get_or_create("k", lambda: build(8)) == 7
+        assert builds == [7]
+        assert cache.put("j", 9) == 0 and cache.evictions == 0
 
     def test_lru_rejects_invalid_size(self):
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_batch_context_cache_bounded(self):
+    def test_batch_context_memoised_per_num_edge_types(self):
         from repro.gnn.message_passing import GraphContext
 
         batch = Batch([make_graph(num_nodes=30)])
-        for num_types in range(1, CONTEXT_CACHE_SIZE + 4):
-            GraphContext.from_batch(batch, num_types)
-        assert len(batch._context_cache) <= CONTEXT_CACHE_SIZE
-        assert batch._context_cache.evictions > 0
+        ctx = GraphContext.from_batch(batch, NUM_TYPES)
+        assert GraphContext.from_batch(batch, NUM_TYPES) is ctx
+        other = GraphContext.from_batch(batch, NUM_TYPES + 1)
+        assert other is not ctx and other.num_edge_types == NUM_TYPES + 1
+        assert GraphContext.from_batch(batch, NUM_TYPES) is ctx
 
 
 # -- serving route ---------------------------------------------------------

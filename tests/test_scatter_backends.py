@@ -4,7 +4,7 @@ Registry semantics (selection, scoping, fail-fast), the
 ``REPRO_SCATTER_BACKEND`` / ``REPRO_SCATTER_WORKERS`` environment knobs,
 bitwise determinism of the sharded kernel in the worker count, the
 power-of-two bucket structure, nonzero-balanced shard cuts, and the
-per-backend isolation of plan/operator caches on
+per-backend isolation (and fixed key set) of the plan/operator memos on
 :class:`~repro.gnn.message_passing.GraphContext` and
 :class:`~repro.gnn.message_passing.RelationFusion`.
 """
@@ -16,11 +16,13 @@ import sys
 import numpy as np
 import pytest
 
+from repro.gnn import build_layer
 from repro.gnn.message_passing import GraphContext
 from repro.tensor import (
     Tensor,
     active_backend,
     available_backends,
+    default_dtype,
     get_backend,
     register_backend,
     scatter_workers,
@@ -46,6 +48,11 @@ def _context(rng, num_nodes=40, num_edges=160, num_edge_types=3):
     return GraphContext(
         edge_index, edge_type, num_nodes, batch, 4, num_edge_types
     )
+
+
+def _memo_backends(owner, kind: str) -> set[str]:
+    """Backend names holding a ``kind`` entry in ``owner``'s memo."""
+    return {key[1] for key in owner._memo if key[0] == kind}
 
 
 class TestRegistry:
@@ -281,11 +288,11 @@ class TestPerBackendCaches:
         x = Tensor(rng.normal(size=(ctx.num_nodes, 6)))
         with use_backend("bucketed"):
             bucketed_out = ctx.propagate_gcn(x).data
-            assert isinstance(ctx._gcn_operators["bucketed"]._forward.__self__,
-                              BucketedSpMM)
+            operator = ctx._memo["gcn_operator", "bucketed"]
+            assert isinstance(operator._forward.__self__, BucketedSpMM)
         with use_backend("csr"):
             csr_out = ctx.propagate_gcn(x).data
-        assert ctx._gcn_operators.keys() == {"bucketed", "csr"}
+        assert _memo_backends(ctx, "gcn_operator") == {"bucketed", "csr"}
         np.testing.assert_allclose(bucketed_out, csr_out, atol=1e-10)
 
     def test_fusion_operators_keyed_by_backend(self, rng):
@@ -298,8 +305,7 @@ class TestPerBackendCaches:
             bucketed_out = fusion.collect(stacked, weighted=True).data
         with use_backend("csr"):
             csr_out = fusion.collect(stacked, weighted=True).data
-        keys = {key[0] for key in fusion._collect_ops}
-        assert keys == {"bucketed", "csr"}
+        assert _memo_backends(fusion, "collect") == {"bucketed", "csr"}
         np.testing.assert_allclose(bucketed_out, csr_out, atol=1e-10)
 
     def test_reduceat_backend_has_no_fused_operator(self, rng):
@@ -307,8 +313,45 @@ class TestPerBackendCaches:
         x = Tensor(rng.normal(size=(ctx.num_nodes, 3)))
         with use_backend("numpy-reduceat"):
             assert ctx._gcn_operator() is None
+            # The missing operator is memoised like any other answer.
+            assert ("gcn_operator", "numpy-reduceat") in ctx._memo
             # propagate_gcn still works through the plan composition.
             out = ctx.propagate_gcn(x).data
         with use_backend("csr"):
             expected = ctx.propagate_gcn(x).data
         np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    def test_memo_key_set_stable_across_backends_and_dtypes(self, rng):
+        """Every backend x dtype, GCN + RGCN forward and backward, run
+        twice over one context: the second pass adds no memo keys."""
+        ctx = _context(rng)
+        dtypes = (np.float32, np.float64)
+        layers = {}
+        for dtype in dtypes:
+            with default_dtype(dtype):
+                layers[dtype] = (
+                    build_layer("gcn", 5, 5, ctx.num_relations, rng),
+                    build_layer("rgcn", 5, 5, ctx.num_relations, rng),
+                )
+        x = rng.normal(size=(ctx.num_nodes, 5))
+
+        def memo_keys() -> set:
+            keys = set(ctx._memo)
+            for key, value in ctx._memo.items():
+                if key[0] == "fusion":
+                    keys |= {key + inner for inner in value._memo}
+            return keys
+
+        passes = []
+        for _ in range(2):
+            for name in available_backends():
+                for dtype in dtypes:
+                    gcn, rgcn = layers[dtype]
+                    with use_backend(name), default_dtype(dtype):
+                        h = Tensor(x.astype(dtype), requires_grad=True)
+                        rgcn(gcn(h, ctx), ctx).sum().backward()
+                        assert h.grad is not None
+            passes.append(memo_keys())
+        assert len(passes[1]) == len(passes[0])
+        assert passes[1] == passes[0]
+        assert _memo_backends(ctx, "gcn_operator") == set(available_backends())

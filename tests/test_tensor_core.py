@@ -1,9 +1,11 @@
 """Unit tests for the autograd core: arithmetic, reductions, shape ops."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck, no_grad
+from repro.tensor import Tensor, gradcheck, is_grad_enabled, no_grad
 
 
 class TestConstruction:
@@ -107,6 +109,35 @@ class TestBackwardBasics:
         with no_grad():
             out = a * 2.0
         assert not out.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # Two threads whose no_grad blocks overlap first-in-first-out (two
+        # serving workers predicting at once) must neither see each
+        # other's switch nor leave it off for the rest of the process.
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def first():
+            with no_grad():
+                first_in.set()
+                second_in.wait(5)
+            first_out.set()
+
+        def second():
+            first_in.wait(5)
+            with no_grad():
+                second_in.set()
+                first_out.wait(5)
+                seen.append(is_grad_enabled())
+
+        threads = [threading.Thread(target=run) for run in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen == [False]
+        assert is_grad_enabled()
+        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
 
     def test_diamond_graph_gradient(self):
         # f = (a + a*2) -> grad 3
