@@ -2,7 +2,7 @@
 
 Measures one GCN training step three ways — baseline (profiling never
 touched), after a ``use_profiling()`` session has ended (the disabled
-path must cost one attribute load per op), and with profiling enabled
+path must cost one context-variable lookup per op), and with profiling enabled
 (op counts + kernel timers collecting). The acceptance bar is the obs
 PR's: the disabled toggle stays within 5% of baseline step cost.
 """

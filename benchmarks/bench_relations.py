@@ -1,9 +1,9 @@
-"""Benchmark: batched float32 relation transforms vs the PR 2 baseline.
+"""Benchmark: batched float32 relation transforms vs the per-relation oracle.
 
-PR 2 left the relational stack matmul-bound: every relation, every
-layer, every step paid a separate dense ``Linear`` call over *all*
-nodes, and the whole pipeline silently computed in float64. This PR
-attacks both:
+A per-relation formulation of the relational stack is matmul-bound:
+every relation, every layer, every step pays a separate dense transform
+over *all* nodes, plus its own gather and scatter. The engine replaces
+it with:
 
 - **batched relation transforms** — one stacked ``[R, D, D]`` kernel
   (or the gather-by-relation block kernel) plus ONE fused scatter per
@@ -16,16 +16,16 @@ attacks both:
 Measured: a full forward+backward training step of the RGCN, GGNN and
 FiLM regressors on one reused ci-scale batch —
 
-- ``fused_f32``: the new default (batched kernels, float32 end-to-end);
-- ``loop_f64``: the PR 2 baseline (``use_fused_relations(False)`` +
-  ``default_dtype(np.float64)`` — per-relation Linears over all nodes,
-  float64 everywhere), with planned scatter kernels in both cases.
+- ``fused_f32``: the default (batched kernels, float32 end-to-end);
+- ``loop_f64``: the per-relation loop oracle of ``tests/oracles.py``
+  under ``default_dtype(np.float64)`` — per-relation transforms over
+  all nodes, ``np.add.at`` gathers and scatters, float64 everywhere.
 
 Both paths run the same weights (float32 values upcast exactly into the
 float64 model), and their eval-mode predictions must agree within
 documented float32 tolerances (rtol 5e-3 / atol 1e-4 after 3 message-
 passing layers). Timings land in ``BENCH_relations.json``; the
-acceptance bar is the ISSUE's: >= 3x on the RGCN step.
+acceptance bar is >= 3x on the RGCN step.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_bench_json
+from tests import oracles
 from repro.gnn.network import GraphRegressor
 from repro.graph.batch import Batch
 from repro.graph.data import GraphData
-from repro.tensor import default_dtype, no_grad, use_fused_relations
+from repro.tensor import default_dtype, no_grad
 
 #: ci-scale hidden width (REPRO_SCALE=ci presets use hidden_dim=40).
 WIDTH = 40
@@ -53,10 +54,9 @@ MODELS = ("rgcn", "ggnn", "film")
 AGREEMENT_RTOL = 5e-3
 AGREEMENT_ATOL = 1e-4
 
-#: Acceptance bar for the RGCN step speedup. 3x is the ISSUE criterion,
-#: measured ~3.4-3.7x on a quiet machine; CI runs on noisy shared
-#: runners and overrides this down (agreement still hard-gates there) so
-#: scheduler jitter cannot red unrelated PRs.
+#: Acceptance bar for the RGCN step speedup over the loop oracle. CI runs
+#: on noisy shared runners and overrides this down (agreement still
+#: hard-gates there) so scheduler jitter cannot red unrelated changes.
 MIN_RGCN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 
 
@@ -132,19 +132,18 @@ def _measure() -> dict:
         batch64 = _synthetic_batch()  # same topology/values, float64 tables
     for name in MODELS:
         model32 = _build_model(name, batch32)
-        with use_fused_relations(True):
-            fused_f32 = _step_time(model32, batch32)
+        fused_f32 = _step_time(model32, batch32)
         with default_dtype(np.float64):
             model64 = _build_model(name, batch64)
         # Same weights in both precisions: float32 values embed exactly
         # into float64, so the two paths compute the same function.
         model64.load_state_dict(model32.state_dict())
-        with use_fused_relations(False):
+        with oracles.reference_engine():
             loop_f64 = _step_time(model64, batch64)
             with no_grad():
                 model64.eval()
                 reference = model64(batch64).data
-        with use_fused_relations(True), no_grad():
+        with no_grad():
             model32.eval()
             fused_out = model32(batch32).data
         agreement = float(
@@ -185,7 +184,7 @@ def test_batched_relation_speedup(benchmark, scale):
     # documented band on every model...
     for name in MODELS:
         assert payload[name]["agrees"], (name, payload[name])
-    # ...and the ISSUE's acceptance bar: >= 3x on the RGCN step
+    # ...and the acceptance bar: >= 3x on the RGCN step
     # (REPRO_BENCH_MIN_SPEEDUP relaxes it on noisy CI runners).
     assert payload["rgcn"]["speedup"] >= MIN_RGCN_SPEEDUP, {
         m: payload[m] for m in MODELS

@@ -5,9 +5,9 @@ gated recurrent unit, so ``in_dim`` must equal ``out_dim`` (the network
 builder guarantees this after the input encoder).
 
 Message weights live in one stacked :class:`~repro.nn.RelationLinear`.
-Because the aggregated message is a plain sum over relations, the fused
-path computes every relation's edge messages in one batched kernel and
-lands them with ONE ``scatter_sum`` over the whole partitioned edge
+Because the aggregated message is a plain sum over relations, every
+relation's edge messages come out of one batched kernel and land with
+ONE ``scatter_sum`` (or one fused SpMM) over the whole partitioned edge
 array — no per-relation loop, no R-term tensor addition chain.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.gnn.message_passing import GraphContext
 from repro.nn import Linear, Module, RelationLinear
-from repro.tensor import Tensor, fused_relations_enabled, gather_rows, scatter_sum
+from repro.tensor import Tensor, scatter_sum
 
 
 class GGNNLayer(Module):
@@ -43,7 +43,9 @@ class GGNNLayer(Module):
         self.w_cand = Linear(out_dim, out_dim, rng=rng)
         self.u_cand = Linear(out_dim, out_dim, bias=False, rng=rng)
 
-    def _aggregate_fused(self, x: Tensor, ctx: GraphContext) -> Tensor | None:
+    def aggregate(self, x: Tensor, ctx: GraphContext) -> Tensor | None:
+        """Sum of transformed neighbours over every relation; ``None``
+        when the context has no edges."""
         fusion = ctx.relation_fusion(self.num_relations)
         if not fusion.num_edges:
             return None
@@ -54,28 +56,8 @@ class GGNNLayer(Module):
             )
         return fusion.collect(self.message_linear(x))
 
-    def _aggregate_loop(self, x: Tensor, ctx: GraphContext) -> Tensor | None:
-        message: Tensor | None = None
-        for relation in range(min(self.num_relations, ctx.num_relations)):
-            src, dst = ctx.relation_edges(relation)
-            if len(src) == 0:
-                continue
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            transformed = self.message_linear.single(x, relation)
-            contribution = scatter_sum(
-                gather_rows(transformed, src, plan=src_plan),
-                dst,
-                ctx.num_nodes,
-                plan=dst_plan,
-            )
-            message = contribution if message is None else message + contribution
-        return message
-
     def forward(self, x: Tensor, ctx: GraphContext) -> Tensor:
-        if fused_relations_enabled():
-            message = self._aggregate_fused(x, ctx)
-        else:
-            message = self._aggregate_loop(x, ctx)
+        message = self.aggregate(x, ctx)
         if message is None:
             message = x * 0.0
         update = (self.w_update(message) + self.u_update(x)).sigmoid()

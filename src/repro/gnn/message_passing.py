@@ -12,14 +12,17 @@ per batch topology: symmetric edges, GCN normalisation, degrees, and —
 the numpy-backend hot path — :class:`~repro.tensor.SegmentPlan` objects
 turning every scatter/gather in the layer stack into planned kernels.
 Plans and fused SpMM operators are built by the *active scatter
-backend* (:mod:`repro.tensor.backends`: ``csr``, ``numpy-reduceat``,
-``bucketed``, ...) and memoised **per backend name**, so a session that
-switches backends mid-stream — a benchmark sweep, a serving tier pinned
-to ``bucketed`` next to a trainer on ``csr`` — never executes one
-backend's kernels through another's cached plans. The relation
-partition is one lexsort by (relation, dst); per-relation edge lists
-are slices of the sorted edge array, already dst-contiguous, so their
-scatter plans skip the argsort too. Plans are built once per context
+backend* (:mod:`repro.tensor.backends`: ``csr``, ``bucketed``, ...) and
+memoised **per backend name**, so a session that switches backends
+mid-stream — a benchmark sweep, a serving tier pinned to ``bucketed``
+next to a trainer on ``csr`` — never executes one backend's kernels
+through another's cached plans. GCN propagation and the relational
+aggregations each run as one fused SpMM operator per direction. The
+relation partition is one lexsort by (relation, dst): relation ``r``'s
+edges are one dst-sorted slice of it, and :class:`RelationFusion` hands
+the whole partition to the fused relation kernels at once (the
+per-relation loop it replaces is the test oracle in
+``tests/oracles.py``). Plans are built once per context
 and shared by every layer of every forward over it; contexts are
 additionally cached on the :class:`~repro.graph.batch.Batch` they came
 from (per ``num_edge_types``), so a *reused* batch — the trainer's
@@ -38,15 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.graph.batch import Batch
-from repro.tensor import (
-    SegmentPlan,
-    Tensor,
-    active_backend,
-    gather_rows,
-    get_default_dtype,
-    plans_enabled,
-    scatter_sum,
-)
+from repro.tensor import SegmentPlan, Tensor, active_backend, get_default_dtype
 from repro.utils.cache import memoize
 
 
@@ -222,12 +217,6 @@ class GraphContext:
         ends = np.cumsum(counts)
         return self.sym_src[order], self.sym_dst[order], ends - counts, ends
 
-    def relation_edges(self, relation: int) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) arrays of the direction-aware relation ``relation``."""
-        src_sorted, dst_sorted, starts, ends = self._relation_partition
-        run = slice(starts[relation], ends[relation])
-        return src_sorted[run], dst_sorted[run]
-
     def relation_fusion(self, num_relations: int) -> "RelationFusion":
         """Flattened relation partition for the fused relation kernels.
 
@@ -242,28 +231,8 @@ class GraphContext:
             lambda: RelationFusion(self, int(num_relations)),
         )
 
-    def relation_plans(self, relation: int) -> tuple[SegmentPlan, SegmentPlan]:
-        """(src_plan, dst_plan) for relation ``relation``'s edge slice.
-
-        ``src_plan`` accelerates the backward of gathering source rows;
-        ``dst_plan`` the forward scatter into target nodes (argsort-free:
-        the slice is dst-sorted by construction).
-        """
-        backend = active_backend()
-
-        def build() -> tuple[SegmentPlan, SegmentPlan]:
-            src, dst = self.relation_edges(relation)
-            return (
-                backend.build_plan(src, self.num_nodes, validate=False),
-                backend.build_plan(
-                    dst, self.num_nodes, validate=False, assume_sorted=True
-                ),
-            )
-
-        return memoize(self._memo, ("relation_plans", backend.name, relation), build)
-
     def _gcn_operator(self):
-        """The ``Â`` SpMM operator of the active backend, or ``None``.
+        """The ``Â`` SpMM operator of the active backend.
 
         The whole GCN propagation — gather, edge-wise normalisation,
         scatter — collapses into one sparse matvec per direction (the
@@ -286,18 +255,14 @@ class GraphContext:
     # -- aggregation helpers ---------------------------------------------
     def propagate_gcn(self, x: Tensor) -> Tensor:
         """One application of the normalised adjacency ``D^-1/2 Ã D^-1/2``."""
-        operator = self._gcn_operator() if plans_enabled() else None
-        if operator is not None:
-            data = np.asarray(operator.apply(x.data))
+        operator = self._gcn_operator()
+        data = np.asarray(operator.apply(x.data))
 
-            def backward(grad: np.ndarray) -> None:
-                if x.requires_grad:
-                    x._accumulate(np.asarray(operator.apply_t(grad)))
+        def backward(grad: np.ndarray) -> None:
+            if x.requires_grad:
+                x._accumulate(np.asarray(operator.apply_t(grad)))
 
-            return Tensor._make(data, (x,), backward)
-        messages = gather_rows(x, self.gcn_src, plan=self.gcn_src_plan)
-        messages = messages * Tensor(self.gcn_norm)
-        return scatter_sum(messages, self.gcn_dst, self.num_nodes, plan=self.gcn_dst_plan)
+        return Tensor._make(data, (x,), backward)
 
     def subgraph(self, keep: np.ndarray) -> "GraphContext":
         """Context induced on the kept nodes (used by Graph U-Net pooling).
@@ -323,8 +288,8 @@ class GraphContext:
 class RelationFusion:
     """One flat view of the relation partition for fused relation kernels.
 
-    Where the per-relation loop hands layers R separate (src, dst, plan)
-    triples, this hands them ONE relation-partitioned edge array: the
+    Where a per-relation loop would hand layers R separate (src, dst)
+    pairs, this hands them ONE relation-partitioned edge array: the
     context's lexsorted-by-(relation, dst) edges restricted to the
     relations the layer covers, with run bounds ``[starts[r], ends[r])``
     per relation. On top of it live, all built lazily and memoised:
@@ -342,9 +307,7 @@ class RelationFusion:
       matvec per direction: ``collect`` maps a stacked ``[R, N, O]``
       transform straight to ``[N, O]`` aggregated messages,
       ``weighted_scatter`` lands per-edge messages with their
-      ``1/c_{v,r}`` weights applied. Both fall back to the plan-threaded
-      gather/mul/scatter composition when the backend has no fused
-      operator or under ``use_plans(False)``.
+      ``1/c_{v,r}`` weights applied.
     """
 
     def __init__(self, ctx: GraphContext, num_relations: int):
@@ -441,8 +404,7 @@ class RelationFusion:
     def _collect_operator(self, dtype, weighted: bool):
         """``[N, R * N]`` SpMM operator summing a flattened stacked
         transform into per-node messages (optionally
-        ``1/c_{v,r}``-weighted); the adjoint serves the backward.
-        ``None`` when the active backend has no fused operator."""
+        ``1/c_{v,r}``-weighted); the adjoint serves the backward."""
         backend = active_backend()
 
         def build():
@@ -464,8 +426,7 @@ class RelationFusion:
 
     def _edge_operator(self, dtype):
         """``[N, E]`` SpMM operator landing per-edge messages on their dst
-        rows with the ``1/c_{v,r}`` weight applied. ``None`` when the
-        active backend has no fused operator."""
+        rows with the ``1/c_{v,r}`` weight applied."""
         backend = active_backend()
         return memoize(
             self._memo,
@@ -483,46 +444,31 @@ class RelationFusion:
 
         Row ``v`` of the result is ``sum_e w_e * stacked[r_e, src_e]``
         over edges into ``v`` (``w_e = 1/c_{v,r}`` when ``weighted`` —
-        the per-relation mean — else 1). With scipy this is ONE sparse
-        matvec per direction; otherwise it decomposes into the
-        plan-threaded gather (+ norm multiply) + scatter.
+        the per-relation mean — else 1): ONE sparse matvec per direction.
         """
-        rows = self.num_relations * self.num_nodes
-        operator = self._collect_operator(stacked.dtype, weighted) if plans_enabled() else None
-        if operator is not None:
-            flat = stacked.data.reshape(rows, -1)
-            data = np.asarray(operator.apply(flat))
+        operator = self._collect_operator(stacked.dtype, weighted)
+        flat = stacked.data.reshape(self.num_relations * self.num_nodes, -1)
+        data = np.asarray(operator.apply(flat))
 
-            def backward(grad: np.ndarray) -> None:
-                if stacked.requires_grad:
-                    stacked._accumulate(
-                        np.asarray(operator.apply_t(grad)).reshape(stacked.shape)
-                    )
+        def backward(grad: np.ndarray) -> None:
+            if stacked.requires_grad:
+                stacked._accumulate(
+                    np.asarray(operator.apply_t(grad)).reshape(stacked.shape)
+                )
 
-            return Tensor._make(data, (stacked,), backward)
-        flat = stacked.reshape(rows, stacked.shape[-1])
-        # The gather plan serves only the backward (see edge_messages).
-        plan = self.flat_plan("src") if flat.requires_grad else None
-        messages = gather_rows(flat, self.flat_index("src"), plan=plan)
-        if weighted:
-            messages = messages * Tensor(self.norm_for(messages.dtype))
-        return scatter_sum(messages, None, self.num_nodes, plan=self.plan("dst"))
+        return Tensor._make(data, (stacked,), backward)
 
     def weighted_scatter(self, messages: Tensor) -> Tensor:
         """Land per-edge ``messages`` on dst rows, ``1/c_{v,r}``-weighted.
 
         The fused equivalent of ``messages * norm`` + ``scatter_sum`` —
-        one sparse matvec per direction with scipy, the plan-threaded
-        composition otherwise.
+        one sparse matvec per direction.
         """
-        operator = self._edge_operator(messages.dtype) if plans_enabled() else None
-        if operator is not None:
-            data = np.asarray(operator.apply(messages.data))
+        operator = self._edge_operator(messages.dtype)
+        data = np.asarray(operator.apply(messages.data))
 
-            def backward(grad: np.ndarray) -> None:
-                if messages.requires_grad:
-                    messages._accumulate(np.asarray(operator.apply_t(grad)))
+        def backward(grad: np.ndarray) -> None:
+            if messages.requires_grad:
+                messages._accumulate(np.asarray(operator.apply_t(grad)))
 
-            return Tensor._make(data, (messages,), backward)
-        weighted = messages * Tensor(self.norm_for(messages.dtype))
-        return scatter_sum(weighted, None, self.num_nodes, plan=self.plan("dst"))
+        return Tensor._make(data, (messages,), backward)

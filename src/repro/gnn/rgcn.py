@@ -4,13 +4,12 @@ One weight matrix per direction-aware relation; per-relation mean
 normalisation (``1/c_{v,r}``) as in the original paper.
 
 The relation transforms run through one :class:`~repro.nn.RelationLinear`
-(stacked ``[R, D, D]`` weight). On the fused path the per-relation
-gather → transform → ``scatter_mean`` loop collapses into: one batched
+(stacked ``[R, D, D]`` weight), so the per-relation gather → transform →
+``scatter_mean`` loop of the definition collapses into: one batched
 relation transform producing every edge message (block or stacked
-kernel, whichever transforms fewer rows), one multiply by the
-precomputed ``1/c_{v,r}`` column, and ONE ``scatter_sum`` over all
-relations' edges. ``use_fused_relations(False)`` restores the
-per-relation loop — the differential baseline.
+kernel, whichever transforms fewer rows) and ONE fused
+``1/c_{v,r}``-weighted SpMM over all relations' edges. The loop itself
+is the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ import numpy as np
 
 from repro.gnn.message_passing import GraphContext
 from repro.nn import Linear, Module, RelationLinear
-from repro.tensor import (
-    Tensor,
-    fused_relations_enabled,
-    gather_rows,
-    scatter_mean,
-)
+from repro.tensor import Tensor
 
 
 class RGCNLayer(Module):
@@ -44,6 +38,17 @@ class RGCNLayer(Module):
             in_dim, out_dim, num_relations, bias=False, rng=rng
         )
 
+    def aggregate(self, x: Tensor, ctx: GraphContext) -> Tensor | None:
+        """Per-relation mean of transformed neighbours, summed over
+        relations; ``None`` when the context has no edges."""
+        fusion = ctx.relation_fusion(self.num_relations)
+        if not fusion.num_edges:
+            return None
+        if fusion.prefer_block(len(x)):
+            messages = self.relation_linear.edge_messages(x, fusion, path="block")
+            return fusion.weighted_scatter(messages)
+        return fusion.collect(self.relation_linear(x), weighted=True)
+
     def forward(self, x: Tensor, ctx: GraphContext) -> Tensor:
         if ctx.num_relations != self.num_relations:
             raise ValueError(
@@ -51,25 +56,5 @@ class RGCNLayer(Module):
                 f"context has {ctx.num_relations}"
             )
         out = self.self_loop(x)
-        if fused_relations_enabled():
-            fusion = ctx.relation_fusion(self.num_relations)
-            if fusion.num_edges:
-                if fusion.prefer_block(len(x)):
-                    messages = self.relation_linear.edge_messages(
-                        x, fusion, path="block"
-                    )
-                    out = out + fusion.weighted_scatter(messages)
-                else:
-                    out = out + fusion.collect(
-                        self.relation_linear(x), weighted=True
-                    )
-            return out
-        for relation in range(self.num_relations):
-            src, dst = ctx.relation_edges(relation)
-            if len(src) == 0:
-                continue
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            transformed = self.relation_linear.single(x, relation)
-            messages = gather_rows(transformed, src, plan=src_plan)
-            out = out + scatter_mean(messages, dst, ctx.num_nodes, plan=dst_plan)
-        return out
+        message = self.aggregate(x, ctx)
+        return out if message is None else out + message

@@ -3,7 +3,7 @@
 The relational GNN layers (RGCN, GGNN, FiLM) used to hold a
 ``ModuleList`` of per-relation ``Linear`` modules and pay one dense call
 per relation per layer per step. :class:`RelationLinear` stacks the
-weights into a single ``[R, D_in, D_out]`` parameter and offers three
+weights into a single ``[R, D_in, D_out]`` parameter and offers two
 execution paths:
 
 - :meth:`forward` — transform *all* nodes for *all* relations in one
@@ -13,10 +13,10 @@ execution paths:
   :class:`~repro.gnn.message_passing.RelationFusion`, choosing between
   the gather-by-relation *block* kernel (cost ``E * D * O``) and the
   stacked *all-nodes* kernel (cost ``R * N * D * O``) — whichever
-  transforms fewer rows;
-- :meth:`single` — the legacy per-relation path (slice one weight,
-  transform every node), kept as the differential-testing baseline
-  behind ``use_fused_relations(False)``.
+  transforms fewer rows.
+
+The per-relation formulation (slice one weight, transform every node)
+is the test oracle in ``tests/oracles.py``.
 
 Weight initialisation draws R Glorot matrices from the rng in relation
 order — the exact stream the old per-relation ``ModuleList`` consumed,
@@ -70,13 +70,6 @@ class RelationLinear(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Stacked transform of every node: ``[R, N, out_features]``."""
         return relation_matmul(x, self.weight, self.bias)
-
-    def single(self, x: Tensor, relation: int) -> Tensor:
-        """Per-relation transform of every node (the legacy loop path)."""
-        out = x @ self.weight[relation]
-        if self.bias is not None:
-            out = out + self.bias[relation]
-        return out
 
     def edge_messages(self, x: Tensor, fusion, endpoint: str = "src", path: str | None = None) -> Tensor:
         """Per-edge transformed rows in ``fusion``'s partitioned edge order.

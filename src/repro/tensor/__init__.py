@@ -25,6 +25,15 @@ or call :func:`set_default_dtype` once at process start. Mixed-precision
 interactions follow numpy promotion: float64 inputs flowing into a
 float32 model compute in float64 from that op onward, so pin the policy
 *before* building data and parameters.
+
+Scoped switches
+---------------
+``default_dtype``, ``no_grad``, ``use_backend`` and ``use_profiling``
+apply to the calling thread only (:mod:`repro.utils.scoped`), so
+serving workers cannot flip or restore each other's state.
+``set_default_dtype``, ``set_backend`` and the ``REPRO_SCATTER_BACKEND``
+environment variable set the process-wide value that new threads start
+from.
 """
 
 from repro.tensor.tensor import (
@@ -58,7 +67,6 @@ from repro.tensor.ops import (
 from repro.tensor.scatter import (
     SegmentPlan,
     gather_rows,
-    plans_enabled,
     scatter_max,
     scatter_mean,
     scatter_min,
@@ -66,7 +74,6 @@ from repro.tensor.scatter import (
     scatter_std,
     scatter_sum,
     segment_counts,
-    use_plans,
 )
 from repro.tensor.backends import (
     ScatterBackend,
@@ -81,11 +88,9 @@ from repro.tensor.backends import (
 )
 from repro.tensor.fused import (
     addmm,
-    fused_relations_enabled,
     linear_act,
     relation_gather_matmul,
     relation_matmul,
-    use_fused_relations,
 )
 from repro.tensor.profiling import (
     OpProfile,
@@ -105,8 +110,6 @@ __all__ = [
     "linear_act",
     "relation_matmul",
     "relation_gather_matmul",
-    "fused_relations_enabled",
-    "use_fused_relations",
     "abs_",
     "concat",
     "dropout",
@@ -136,8 +139,6 @@ __all__ = [
     "set_backend",
     "use_backend",
     "gather_rows",
-    "plans_enabled",
-    "use_plans",
     "scatter_max",
     "scatter_mean",
     "scatter_min",

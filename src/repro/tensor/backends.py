@@ -2,7 +2,7 @@
 
 :mod:`repro.tensor.scatter` defines *what* the message-passing
 primitives compute; this module owns *how* the planned kernels execute.
-A :class:`ScatterBackend` supplies two things:
+A :class:`ScatterBackend` supplies both of:
 
 - :meth:`ScatterBackend.build_plan` — the factory behind every
   :class:`~repro.tensor.scatter.SegmentPlan`; a backend may return a
@@ -13,19 +13,14 @@ A :class:`ScatterBackend` supplies two things:
   gather+weight+scatter SpMM operator (``out = S @ X`` with its adjoint)
   that :meth:`~repro.gnn.message_passing.GraphContext.propagate_gcn` and
   :class:`~repro.gnn.message_passing.RelationFusion` build their cached
-  propagation operators from. ``None`` means "no fused operator" and the
-  caller composes gather / multiply / scatter through plans instead.
+  propagation operators from. Every backend provides one; there is no
+  gather / multiply / scatter composition to fall back to.
 
-Three backends are registered out of the box:
+Two backends are registered out of the box:
 
 ``"csr"`` (default)
-    The PR 2 engine: one scipy CSR scatter matrix per plan, segment
-    max/min via sorted ``ufunc.reduceat``. Fast, single-threaded.
-
-``"numpy-reduceat"``
-    Portable fallback: every reduction runs the sorted-``reduceat``
-    kernels, no scipy anywhere. The baseline the other backends are
-    differentially tested against (alongside ``use_plans(False)``).
+    One scipy CSR scatter matrix per plan, segment max/min via sorted
+    ``ufunc.reduceat``. Fast, single-threaded.
 
 ``"bucketed"``
     Degree-bucketed execution per the ``spmm_accel.cu`` row-binning
@@ -34,16 +29,16 @@ Three backends are registered out of the box:
     **nonzero-balanced** shards (a skew-heavy graph's hub rows land in
     their own shards instead of serialising a whole block) that execute
     concurrently on a thread pool — scipy's CSR product releases the
-    GIL, so shards scale with cores. Without scipy each bucket executes
-    as a padded dense reshaped segment reduction. Results are
-    bitwise-deterministic in the worker count: shard cuts snap to row
-    boundaries, so every output row is reduced in the same nonzero
-    order regardless of scheduling.
+    GIL, so shards scale with cores. Results are bitwise-deterministic
+    in the worker count: shard cuts snap to row boundaries, so every
+    output row is reduced in the same nonzero order regardless of
+    scheduling.
 
-Selection flows through :func:`use_backend` (scoped),
-:func:`set_backend` (process-wide) or the ``REPRO_SCATTER_BACKEND``
-environment variable (read at import, unknown names fail fast with the
-valid set). ``REPRO_SCATTER_WORKERS`` caps the bucketed thread pool
+Both are differentially tested against the unbuffered scatter-add
+reference ops in ``tests/oracles.py``. Selection flows through :func:`use_backend`
+(scoped to a block in the calling thread), :func:`set_backend`
+(process-wide) or the ``REPRO_SCATTER_BACKEND`` environment variable
+(read at import, unknown names fail fast with the valid set). ``REPRO_SCATTER_WORKERS`` caps the bucketed thread pool
 (default: CPU count, capped at 8). The registry is the seam future
 numba/Cython/GPU backends plug into: subclass :class:`ScatterBackend`,
 call :func:`register_backend`.
@@ -51,27 +46,22 @@ call :func:`register_backend`.
 
 from __future__ import annotations
 
-import contextlib
+import abc
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every planned kernel
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - container always ships scipy
-    _sparse = None
+from scipy import sparse
 
 from repro.tensor.profiling import profiled
 from repro.tensor.scatter import SegmentPlan
+from repro.utils.scoped import ScopedValue
 
 __all__ = [
     "BucketedBackend",
     "BucketedPlan",
     "BucketedSpMM",
     "CsrBackend",
-    "ReduceatBackend",
-    "ReduceatPlan",
     "ScatterBackend",
     "active_backend",
     "available_backends",
@@ -138,9 +128,7 @@ class BucketedSpMM:
     :meth:`apply` runs the shards concurrently when more than one worker
     is configured (scipy's CSR kernels drop the GIL). Every output row
     reduces in one sequential pass inside exactly one shard, so the
-    result is bitwise-identical for any worker count. Without scipy,
-    each bucket executes as a padded dense gather + reshaped segment
-    reduction.
+    result is bitwise-identical for any worker count.
     """
 
     __slots__ = (
@@ -151,7 +139,6 @@ class BucketedSpMM:
         "data",
         "shards",
         "bucket_widths",
-        "_dense_buckets",
     )
 
     def __init__(
@@ -195,7 +182,6 @@ class BucketedSpMM:
         # -- nonzero-balanced shard boundaries (may split heavy rows) ----
         workers = _WORKERS if workers is None else max(1, int(workers))
         self.shards = self._cut_shards(min(workers, max(1, nnz)))
-        self._dense_buckets = None
 
     def _cut_shards(self, num_shards: int) -> list:
         """[(row_lo, row_hi, csr_block)] with ~equal nonzeros per shard.
@@ -219,40 +205,16 @@ class BucketedSpMM:
         for row_lo, row_hi in zip(rows[:-1], rows[1:]):
             row_lo, row_hi = int(row_lo), int(row_hi)
             lo, hi = int(self.indptr[row_lo]), int(self.indptr[row_hi])
-            block = None
-            if _sparse is not None:
-                block = _sparse.csr_matrix(
-                    (
-                        self.data[lo:hi],
-                        self.indices[lo:hi],
-                        self.indptr[row_lo : row_hi + 1] - lo,
-                    ),
-                    shape=(row_hi - row_lo, self.shape[1]),
-                )
+            block = sparse.csr_matrix(
+                (
+                    self.data[lo:hi],
+                    self.indices[lo:hi],
+                    self.indptr[row_lo : row_hi + 1] - lo,
+                ),
+                shape=(row_hi - row_lo, self.shape[1]),
+            )
             shards.append((row_lo, row_hi, block))
         return shards
-
-    # -- dense fallback (no scipy): padded reshaped segment reduction ----
-    def _dense_plan(self) -> list:
-        if self._dense_buckets is None:
-            buckets = []
-            boundaries = np.flatnonzero(np.diff(self.bucket_widths)) + 1
-            pad_col, num_rows = self.shape[1], len(self.perm)
-            for lo, hi in zip(
-                np.concatenate([[0], boundaries]),
-                np.concatenate([boundaries, [num_rows]]),
-            ):
-                if hi <= lo:
-                    continue
-                width = int(self.bucket_widths[lo])
-                offsets = self.indptr[lo:hi, None] + np.arange(width)[None, :]
-                valid = offsets < self.indptr[lo + 1 : hi + 1, None]
-                safe = np.minimum(offsets, max(int(self.indptr[-1]) - 1, 0))
-                cols = np.where(valid, self.indices[safe], pad_col)
-                weights = np.where(valid, self.data[safe], 0.0)
-                buckets.append((int(lo), int(hi), cols, weights))
-            self._dense_buckets = buckets
-        return self._dense_buckets
 
     @profiled("spmm.bucketed")
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -261,32 +223,15 @@ class BucketedSpMM:
         out = np.zeros((self.shape[0],) + values.shape[1:], dtype=dtype)
         if not len(self.perm):
             return out
-        if _sparse is None:
-            return self._apply_dense(values, out)
         shards = self.shards
-        if len(shards) > 1:
-            buffers = list(
-                _pool().map(lambda shard: shard[2] @ values, shards)
-            )
-        else:
-            buffers = [shards[0][2] @ values]
         if len(shards) == 1:
-            out[self.perm] = buffers[0]
+            out[self.perm] = shards[0][2] @ values
             return out
+        buffers = _pool().map(lambda shard: shard[2] @ values, shards)
         gathered = np.empty((len(self.perm),) + values.shape[1:], dtype=dtype)
         for (row_lo, row_hi, _), buffer in zip(shards, buffers):
             gathered[row_lo:row_hi] = buffer
         out[self.perm] = gathered
-        return out
-
-    @profiled("spmm.bucketed_dense")
-    def _apply_dense(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        padded = np.concatenate(
-            [values, np.zeros((1,) + values.shape[1:], dtype=values.dtype)]
-        )
-        for lo, hi, cols, weights in self._dense_plan():
-            block = padded[cols] * (weights[..., None] if values.ndim == 2 else weights)
-            out[self.perm[lo:hi]] = block.sum(axis=1)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -338,26 +283,13 @@ class _SparseOperator:
 # --------------------------------------------------------------------------
 
 
-class ReduceatPlan(SegmentPlan):
-    """Plan whose segment sums always run sorted ``np.add.reduceat``.
-
-    The portable engine: no scipy anywhere, every reduction is a sorted
-    gather plus one ``ufunc.reduceat`` over contiguous runs.
-    """
-
-    __slots__ = ()
-
-    def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        return self.segment_reduce(values, np.add, 0.0)
-
-
 class BucketedPlan(SegmentPlan):
     """Plan whose segment sums run the :class:`BucketedSpMM` kernel.
 
     Segment max/min keep the sorted-``reduceat`` kernels (no matmul
     form); sums — the dominant reduction — execute degree-bucketed and
-    sharded. ``>2``-dimensional values fall back to ``reduceat`` exactly
-    like the base plan's no-scipy path.
+    sharded. ``>2``-dimensional values run ``reduceat`` exactly like the
+    base plan.
     """
 
     __slots__ = ("_bucketed", "_workers")
@@ -389,19 +321,19 @@ class BucketedPlan(SegmentPlan):
 # --------------------------------------------------------------------------
 
 
-class ScatterBackend:
+class ScatterBackend(abc.ABC):
     """One named implementation of the planned scatter/SpMM kernels.
 
-    Subclasses override :meth:`build_plan` (return a
+    Subclasses implement :meth:`build_plan` (return a
     :class:`~repro.tensor.scatter.SegmentPlan` subclass routing the six
     scatter ops and the gather backward onto their kernels) and
-    :meth:`sparse_operator` (return a fused SpMM operator, or ``None``
-    to make callers compose gather/multiply/scatter through plans).
+    :meth:`sparse_operator` (return the fused SpMM operator).
     """
 
     #: Registry key; also what ``REPRO_SCATTER_BACKEND`` matches against.
     name = "abstract"
 
+    @abc.abstractmethod
     def build_plan(
         self,
         index: np.ndarray,
@@ -410,23 +342,24 @@ class ScatterBackend:
         validate: bool = True,
         assume_sorted: bool = False,
     ) -> SegmentPlan:
-        raise NotImplementedError
+        """A scatter plan for ``(index, dim_size)``."""
 
+    @abc.abstractmethod
     def sparse_operator(
         self,
         rows: np.ndarray,
         cols: np.ndarray,
         weights: np.ndarray | None,
         shape: tuple[int, int],
-    ) -> _SparseOperator | None:
-        return None
+    ) -> _SparseOperator:
+        """The ``shape`` operator summing ``weights`` at ``(rows, cols)``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class CsrBackend(ScatterBackend):
-    """The PR 2 scipy-CSR engine (default)."""
+    """The scipy-CSR engine (default)."""
 
     name = "csr"
 
@@ -436,9 +369,7 @@ class CsrBackend(ScatterBackend):
         )
 
     def sparse_operator(self, rows, cols, weights, shape):
-        if _sparse is None:
-            return None
-        matrix = _sparse.csr_matrix((weights, (rows, cols)), shape=shape)
+        matrix = sparse.csr_matrix((weights, (rows, cols)), shape=shape)
 
         def build_adjoint():
             transpose = matrix.T.tocsr()
@@ -446,17 +377,6 @@ class CsrBackend(ScatterBackend):
 
         return _SparseOperator(
             lambda values: np.asarray(matrix @ values), build_adjoint
-        )
-
-
-class ReduceatBackend(ScatterBackend):
-    """Portable sorted-``reduceat`` engine; no scipy, no fused operators."""
-
-    name = "numpy-reduceat"
-
-    def build_plan(self, index, dim_size, *, validate=True, assume_sorted=False):
-        return ReduceatPlan(
-            index, dim_size, validate=validate, assume_sorted=assume_sorted
         )
 
 
@@ -499,7 +419,6 @@ class BucketedBackend(ScatterBackend):
 
 
 _REGISTRY: dict[str, ScatterBackend] = {}
-_ACTIVE: ScatterBackend
 
 
 def register_backend(backend: ScatterBackend, *, replace: bool = False) -> None:
@@ -527,31 +446,26 @@ def get_backend(name: str) -> ScatterBackend:
 
 def active_backend() -> ScatterBackend:
     """The backend new plans and operators are built with."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def set_backend(name: str) -> ScatterBackend:
     """Select the process-wide scatter backend; returns it."""
-    global _ACTIVE
-    _ACTIVE = get_backend(name)
-    return _ACTIVE
+    backend = get_backend(name)
+    _ACTIVE.set(backend)
+    return backend
 
 
-@contextlib.contextmanager
 def use_backend(name: str):
-    """Run the block under backend ``name``; restores the previous one.
+    """Run the block under backend ``name`` in the calling thread.
 
-    Plans already built (and cached on contexts/batches) by other
-    backends are untouched — caches key by backend name, so switching
-    mid-session never cross-contaminates.
+    Yields the backend. Other threads keep their backend, and leaving
+    the block restores this thread's previous one. Plans already built
+    (and cached on contexts/batches) by other backends are untouched —
+    caches key by backend name, so switching mid-session never
+    cross-contaminates.
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = get_backend(name)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
+    return _ACTIVE.scoped(get_backend(name))
 
 
 def build_plan(
@@ -562,15 +476,14 @@ def build_plan(
     assume_sorted: bool = False,
 ) -> SegmentPlan:
     """A scatter plan for ``(index, dim_size)`` from the active backend."""
-    return _ACTIVE.build_plan(
+    return _ACTIVE.get().build_plan(
         index, dim_size, validate=validate, assume_sorted=assume_sorted
     )
 
 
 register_backend(CsrBackend())
-register_backend(ReduceatBackend())
 register_backend(BucketedBackend())
-_ACTIVE = _REGISTRY["csr"]
+_ACTIVE = ScopedValue("scatter_backend", _REGISTRY["csr"])
 
 #: ``REPRO_SCATTER_BACKEND`` selects the starting backend; unknown names
 #: fail fast at import with the valid set (the CI matrix relies on this).

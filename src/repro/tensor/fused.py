@@ -1,10 +1,10 @@
 """Fused dense kernels for the matmul-bound hot path.
 
-PR 2 made message passing scatter-lean; what remains on the relational
-stack is dense-transform cost: every relation, every layer, every step
-used to pay a separate ``Linear`` call (and a separate autograd node for
-the matmul, the bias add and the activation). The kernels here collapse
-those chains:
+With message passing scatter-lean, what remains on the relational stack
+is dense-transform cost: a per-relation formulation pays a separate
+``Linear`` call per relation, layer and step (and a separate autograd
+node for the matmul, the bias add and the activation). The kernels here
+collapse those chains:
 
 - :func:`addmm` — ``x @ W + b`` as ONE tape node with one backward
   closure (adopted by :class:`repro.nn.Linear`);
@@ -18,48 +18,21 @@ those chains:
   scales with the edge count instead of ``R * N``.
 
 :class:`repro.nn.relation_linear.RelationLinear` picks between the two
-relation kernels from ``(R, E, N)``; ``use_fused_relations(False)``
-forces the relational GNN layers back onto the per-relation loop — the
-differential-testing and benchmarking baseline.
+relation kernels from ``(R, E, N)``. The per-relation loop they replace
+lives on as the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.tensor.profiling import profiled
-from repro.tensor.scatter import SegmentPlan, plans_enabled
+from repro.tensor.scatter import SegmentPlan, _backend_plan
 from repro.tensor.tensor import Tensor, stable_sigmoid
-
-_FUSED_RELATIONS_ENABLED = True
 
 #: The per-relation GEMM of the block path, kept as a module attribute so
 #: regression tests can spy on exactly which row blocks get transformed.
 _block_gemm = np.matmul
-
-
-def fused_relations_enabled() -> bool:
-    """Whether relational layers run the batched/fused relation kernels."""
-    return _FUSED_RELATIONS_ENABLED
-
-
-@contextlib.contextmanager
-def use_fused_relations(enabled: bool = True):
-    """Force the fused relation path on/off inside the block.
-
-    ``use_fused_relations(False)`` restores the per-relation ``Linear``
-    loop inside RGCN/GGNN/FiLM — the baseline that parity tests and
-    ``benchmarks/bench_relations.py`` measure against.
-    """
-    global _FUSED_RELATIONS_ENABLED
-    previous = _FUSED_RELATIONS_ENABLED
-    _FUSED_RELATIONS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_RELATIONS_ENABLED = previous
 
 
 @profiled("addmm")
@@ -184,8 +157,9 @@ def relation_gather_matmul(
     ``[10, D] @ [D, O]`` GEMM, never ``[N, D] @ [D, O]`` — so the total
     dense cost is ``E * D * O`` instead of ``R * N * D * O``.
 
-    ``plan`` (a :class:`SegmentPlan` over ``index``) accelerates the
-    scatter-add of the input gradient, exactly like ``gather_rows``.
+    ``plan`` (a :class:`SegmentPlan` over ``index``) runs the
+    scatter-add of the input gradient, exactly like ``gather_rows``;
+    without one the backward builds its own from the active backend.
     """
     xd, wd = x.data, weight.data
     num_rows = len(index)
@@ -201,7 +175,6 @@ def relation_gather_matmul(
         if bias is not None:
             out[run] += bias.data[r]
     parents = (x, weight) if bias is None else (x, weight, bias)
-    planned = plan is not None and plans_enabled()
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
@@ -218,11 +191,7 @@ def relation_gather_matmul(
             gathered = np.empty((num_rows, xd.shape[1]), dtype=grad.dtype)
             for r, run in blocks:
                 gathered[run] = grad[run] @ wd[r].T
-            if planned:
-                x._accumulate(plan.segment_sum(gathered))
-            else:
-                gx = np.zeros_like(xd)
-                np.add.at(gx, index, gathered)
-                x._accumulate(gx)
+            scatter = plan if plan is not None else _backend_plan(index, len(xd))
+            x._accumulate(scatter.segment_sum(gathered))
 
     return Tensor._make(out, parents, backward)

@@ -1,10 +1,12 @@
 """Per-op profiling for the tensor engine, off by default.
 
-``use_profiling()`` mirrors the engine's other toggles
-(:func:`~repro.tensor.scatter.use_plans`,
-:func:`~repro.tensor.fused.use_fused_relations`): a module-global flag
-flipped by a context manager. While active, two kinds of telemetry
-accumulate into an :class:`OpProfile`:
+``use_profiling()`` scopes a collecting profile to a block in the
+calling thread, like the engine's other scoped switches
+(:func:`~repro.tensor.backends.use_backend`,
+:func:`~repro.tensor.tensor.default_dtype`,
+:func:`~repro.tensor.tensor.no_grad`); other threads keep their own
+state. While active, two kinds of telemetry accumulate into an
+:class:`OpProfile`:
 
 - **tape-op counts** — :meth:`Tensor._make` bumps a counter named after
   the op's backward closure ("Tensor.__matmul__", "scatter_sum",
@@ -13,7 +15,7 @@ accumulate into an :class:`OpProfile`:
   :func:`profiled`, which adds a ``perf_counter`` pair *only while
   profiling is active*.
 
-The disabled path costs one module-attribute load plus a ``None``
+The disabled path costs one context-variable lookup plus a ``None``
 check per op and adds **no tape nodes** — asserted to stay under 5%
 GCN-step overhead by ``tests/test_obs.py`` and
 ``benchmarks/bench_obs.py``.
@@ -21,17 +23,17 @@ GCN-step overhead by ``tests/test_obs.py`` and
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
 import time
 
+from repro.utils.scoped import ScopedValue
+
 __all__ = ["OpProfile", "profiled", "profiling_enabled", "use_profiling"]
 
-#: The collecting profile, or ``None`` when profiling is off. Hot paths
-#: read this directly (``profiling._ACTIVE``) to keep the disabled cost
-#: at a single attribute load.
-_ACTIVE: "OpProfile | None" = None
+#: The collecting profile of the current thread, or ``None`` when off.
+#: ``Tensor._make`` reads it directly on every op.
+_PROFILE: "ScopedValue[OpProfile | None]" = ScopedValue("profile", None)
 
 
 class OpProfile:
@@ -95,10 +97,9 @@ class OpProfile:
 
 def profiling_enabled() -> bool:
     """Whether an :class:`OpProfile` is currently collecting."""
-    return _ACTIVE is not None
+    return _PROFILE.get() is not None
 
 
-@contextlib.contextmanager
 def use_profiling(profile: OpProfile | None = None):
     """Collect per-op telemetry inside the block; yields the profile.
 
@@ -108,14 +109,7 @@ def use_profiling(profile: OpProfile | None = None):
             train_graph_regressor(model, train, val, config)
         print(prof.snapshot()["ops"])
     """
-    global _ACTIVE
-    profile = profile if profile is not None else OpProfile()
-    previous = _ACTIVE
-    _ACTIVE = profile
-    try:
-        yield profile
-    finally:
-        _ACTIVE = previous
+    return _PROFILE.scoped(profile if profile is not None else OpProfile())
 
 
 def profiled(name: str):
@@ -129,7 +123,7 @@ def profiled(name: str):
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            profile = _ACTIVE
+            profile = _PROFILE.get()
             if profile is None:
                 return fn(*args, **kwargs)
             start = time.perf_counter()

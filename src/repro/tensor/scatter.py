@@ -5,23 +5,18 @@ flat ``[num_edges, dim]`` message matrix and an integer target-index
 vector. Gradients flow through every primitive, so layers composed from
 them need no hand-written backward passes.
 
-Two kernel families back every operation:
-
-- the **fallback** path uses unbuffered ``np.add.at`` / ``ufunc.at``
-  calls, which accept any index vector but process one element at a
-  time;
-- the **planned** path takes a :class:`SegmentPlan` — one stable argsort
-  of the index vector plus the segment boundaries of the sorted copy —
-  and reduces each contiguous run with ``np.add.reduceat`` /
-  ``np.maximum.reduceat``, which is typically an order of magnitude
-  faster on the wide message matrices message passing produces.
-
-A plan is profitable exactly when the same index vector is reduced many
-times (every layer of every forward/backward over a batch), which is why
-:class:`~repro.gnn.message_passing.GraphContext` builds plans once per
-batch topology and threads them through the layers. Both paths produce
-the same values and gradients; ``use_plans(False)`` forces the fallback
-kernels for benchmarking and differential testing.
+Every operation runs through a :class:`SegmentPlan` — one stable
+argsort of the index vector plus the segment boundaries of the sorted
+copy. Segment sums run as one sparse-matrix product, segment max/min as
+``np.maximum.reduceat`` / ``np.minimum.reduceat`` over the contiguous
+runs of the sorted copy. A plan pays off when the same index vector is
+reduced many times (every layer of every forward/backward over a
+batch), which is why :class:`~repro.gnn.message_passing.GraphContext`
+builds plans once per batch topology and threads them through the
+layers. A caller without a plan gets a one-off plan from the active
+backend; ``gather_rows`` builds it only inside its backward, so
+no-grad gathers pay nothing. ``tests/oracles.py`` keeps the unbuffered
+scatter-add reference implementations every op is tested against.
 
 Backend selection
 -----------------
@@ -33,60 +28,31 @@ scatter op below and the ``gather_rows`` backward execute through the
 selected backend without further dispatch. Registered today:
 
 - ``"csr"`` (default) — one scipy CSR scatter matrix per plan, segment
-  max/min via sorted ``reduceat`` (the PR 2 engine, this module's
-  :class:`SegmentPlan`);
-- ``"numpy-reduceat"`` — portable sorted-``reduceat`` kernels only, no
-  scipy required;
+  max/min via sorted ``reduceat`` (this module's :class:`SegmentPlan`);
 - ``"bucketed"`` — degree-bucketed rows cut into nonzero-balanced
   shards executed on a thread pool; the backend for skew-heavy graphs
   on multi-core hosts.
 
-Select with ``repro.tensor.use_backend("bucketed")`` (scoped),
-``set_backend`` (process-wide) or the ``REPRO_SCATTER_BACKEND``
-environment variable; unknown names fail fast with the valid set.
-Plans are cached per backend on ``GraphContext``/``Batch``, so
-switching backends mid-session never reuses another backend's kernels.
-``use_plans(False)`` still forces the unbuffered fallback regardless of
-the selected backend — the common differential baseline.
+Select with ``repro.tensor.use_backend("bucketed")`` (scoped to the
+calling thread), ``set_backend`` (process-wide) or the
+``REPRO_SCATTER_BACKEND`` environment variable; unknown names fail fast
+with the valid set. Plans are cached per backend on
+``GraphContext``/``Batch``, so switching backends mid-session never
+reuses another backend's kernels.
 
-Index validation happens once per plan (at construction). The planless
-path validates per call unless the caller passes ``validated=True``
-(e.g. a serving boundary that already ran
+Index validation happens once per plan (at construction). A call
+without a plan validates its index unless the caller passes
+``validated=True`` (e.g. a serving boundary that already ran
 :func:`repro.graph.validation.validate_inference_graph`).
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every planned kernel
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - container always ships scipy
-    _sparse = None
+from scipy import sparse
 
 from repro.tensor.profiling import profiled
 from repro.tensor.tensor import Tensor
-
-_PLAN_KERNELS_ENABLED = True
-
-
-def plans_enabled() -> bool:
-    """Whether planned (sorted ``reduceat``) kernels are currently in use."""
-    return _PLAN_KERNELS_ENABLED
-
-
-@contextlib.contextmanager
-def use_plans(enabled: bool = True):
-    """Force planned kernels on/off inside the block (benchmarks, tests)."""
-    global _PLAN_KERNELS_ENABLED
-    previous = _PLAN_KERNELS_ENABLED
-    _PLAN_KERNELS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _PLAN_KERNELS_ENABLED = previous
 
 
 def _check_index(
@@ -111,9 +77,8 @@ class SegmentPlan:
     where ``S[seg, row] = 1`` — the CSR structure is assembled directly
     from the argsort, with no COO conversion. Segment max/min (no matmul
     form) gather into sorted order and run a single ``ufunc.reduceat``
-    over contiguous runs; the same path backs sums when scipy is absent.
-    Empty segments are handled by reducing only the non-empty runs and
-    leaving the fill value in place.
+    over contiguous runs. Empty segments are handled by reducing only
+    the non-empty runs and leaving the fill value in place.
 
     ``assume_sorted=True`` skips the argsort for index vectors that are
     already non-decreasing (e.g. per-relation slices of an edge array
@@ -170,11 +135,11 @@ class SegmentPlan:
         exactly the sorted order already computed, so the CSR arrays are
         assembled without any further sorting.
         """
-        if self._csr is None and _sparse is not None:
+        if self._csr is None:
             cols = self.order if self.order is not None else np.arange(self.size)
             # float32 ones: exact for both float32 and float64 operands, and
             # keeps float32 values from being silently promoted to float64.
-            self._csr = _sparse.csr_matrix(
+            self._csr = sparse.csr_matrix(
                 (np.ones(self.size, dtype=np.float32), cols, self._indptr),
                 shape=(self.dim_size, self.size),
             )
@@ -189,33 +154,38 @@ class SegmentPlan:
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         if values.ndim <= 2:
-            matrix = self._scatter_matrix()
-            if matrix is not None:
-                return np.asarray(matrix @ values)
+            return np.asarray(self._scatter_matrix() @ values)
         return self.segment_reduce(values, np.add, 0.0)
 
     def __repr__(self) -> str:
         return f"SegmentPlan(size={self.size}, dim_size={self.dim_size})"
 
 
-def _resolve_index(
+def _backend_plan(index: np.ndarray, dim_size: int) -> SegmentPlan:
+    """A one-off plan over an already validated index, from the active backend."""
+    from repro.tensor.backends import build_plan  # backends builds on this module
+
+    return build_plan(index, dim_size, validate=False)
+
+
+def _resolve_plan(
     index: np.ndarray | None,
     plan: SegmentPlan | None,
     size: int,
     dim_size: int,
     validated: bool,
-) -> np.ndarray:
-    """Index vector to use, validated exactly once across both paths."""
+) -> SegmentPlan:
+    """``plan`` checked against the call, or a fresh one over ``index``."""
     if plan is None:
         if index is None:
             raise ValueError("either index or plan must be provided")
-        return _check_index(index, size, dim_size, validated)
+        return _backend_plan(_check_index(index, size, dim_size, validated), dim_size)
     if plan.size != size:
         raise ValueError(f"plan covers {plan.size} rows, source has {size}")
     if plan.dim_size != dim_size:
         raise ValueError(f"plan dim_size {plan.dim_size} != requested {dim_size}")
     _spot_check_plan_index(index, plan)
-    return plan.index
+    return plan
 
 
 def _spot_check_plan_index(index, plan: SegmentPlan) -> None:
@@ -244,8 +214,9 @@ def gather_rows(
 ) -> Tensor:
     """Select rows ``x[index]`` with gradient scatter-added back.
 
-    ``plan`` must segment ``index`` into ``len(x)`` rows; it accelerates
-    the backward scatter-add (the forward is a plain fancy index).
+    ``plan`` must segment ``index`` into ``len(x)`` rows; the backward
+    scatter-add runs through it (the forward is a plain fancy index).
+    Without one, the backward builds its own from the active backend.
     """
     index = np.asarray(index, dtype=np.int64)
     if plan is not None:
@@ -256,19 +227,11 @@ def gather_rows(
             )
         _spot_check_plan_index(index, plan)
     data = x.data[index]
-    # The kernel family is pinned at forward time so a backward() running
-    # after a use_plans() block still matches its forward.
-    planned = plan is not None and _PLAN_KERNELS_ENABLED
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        if planned:
-            x._accumulate(plan.segment_sum(grad))
-        else:
-            out = np.zeros_like(x.data)
-            np.add.at(out, index, grad)
-            x._accumulate(out)
+        if x.requires_grad:
+            scatter = plan if plan is not None else _backend_plan(index, len(x.data))
+            x._accumulate(scatter.segment_sum(grad))
 
     return Tensor._make(data, (x,), backward)
 
@@ -282,16 +245,12 @@ def scatter_sum(
     validated: bool = False,
 ) -> Tensor:
     """Sum rows of ``src`` into ``dim_size`` output rows keyed by ``index``."""
-    index = _resolve_index(index, plan, len(src.data), dim_size, validated)
-    if plan is not None and _PLAN_KERNELS_ENABLED:
-        data = plan.segment_sum(src.data)
-    else:
-        data = np.zeros((dim_size,) + src.shape[1:], dtype=src.data.dtype)
-        np.add.at(data, index, src.data)
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    data = plan.segment_sum(src.data)
 
     def backward(grad: np.ndarray) -> None:
         if src.requires_grad:
-            src._accumulate(grad[index])
+            src._accumulate(grad[plan.index])
 
     return Tensor._make(data, (src,), backward)
 
@@ -304,48 +263,26 @@ def scatter_mean(
     validated: bool = False,
 ) -> Tensor:
     """Mean-aggregate rows of ``src`` per segment (empty segments give 0)."""
-    total = scatter_sum(src, index, dim_size, plan=plan, validated=validated)
-    raw = plan.counts if plan is not None else segment_counts(index, dim_size)
-    counts = np.maximum(raw, 1.0).reshape((dim_size,) + (1,) * (src.ndim - 1))
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    total = scatter_sum(src, None, dim_size, plan=plan)
+    counts = np.maximum(plan.counts, 1.0).reshape((dim_size,) + (1,) * (src.ndim - 1))
     # Divide in the source dtype so float32 inputs stay float32.
     return total / Tensor(counts.astype(src.data.dtype, copy=False))
 
 
 @profiled("scatter_extremum")
-def _scatter_extremum(
-    src: Tensor,
-    index: np.ndarray | None,
-    dim_size: int,
-    mode: str,
-    plan: SegmentPlan | None = None,
-    validated: bool = False,
-) -> Tensor:
-    index = _resolve_index(index, plan, len(src.data), dim_size, validated)
+def _scatter_extremum(src: Tensor, plan: SegmentPlan, mode: str) -> Tensor:
     ufunc = np.maximum if mode == "max" else np.minimum
-    planned = plan is not None and _PLAN_KERNELS_ENABLED
-    if planned:
-        # Empty segments never appear in plan.nonempty, so the 0 fill
-        # survives — the same PyG convention as the fallback below.
-        data = plan.segment_reduce(src.data, ufunc, 0.0)
-    else:
-        fill = -np.inf if mode == "max" else np.inf
-        data = np.full((dim_size,) + src.shape[1:], fill, dtype=src.data.dtype)
-        ufunc.at(data, index, src.data)
-        # Empty segments stay at +-inf which would poison downstream maths;
-        # PyG uses 0 for them, and so do we.
-        empty = segment_counts(index, dim_size) == 0
-        data[empty] = 0.0
+    # Empty segments never appear in plan.nonempty, so they keep the 0
+    # fill (the PyG convention) instead of poisoning maths with +-inf.
+    data = plan.segment_reduce(src.data, ufunc, 0.0)
 
     def backward(grad: np.ndarray) -> None:
         if not src.requires_grad:
             return
+        index = plan.index
         winners = (src.data == data[index]).astype(src.data.dtype)
-        if planned:
-            ties = plan.segment_sum(winners)
-        else:
-            ties = np.zeros_like(data)
-            np.add.at(ties, index, winners)
-        ties = np.maximum(ties, 1.0)
+        ties = np.maximum(plan.segment_sum(winners), 1.0)
         src._accumulate(grad[index] * winners / ties[index])
 
     return Tensor._make(data, (src,), backward)
@@ -359,7 +296,8 @@ def scatter_max(
     validated: bool = False,
 ) -> Tensor:
     """Per-segment elementwise max (0 for empty segments)."""
-    return _scatter_extremum(src, index, dim_size, "max", plan, validated)
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    return _scatter_extremum(src, plan, "max")
 
 
 def scatter_min(
@@ -370,7 +308,8 @@ def scatter_min(
     validated: bool = False,
 ) -> Tensor:
     """Per-segment elementwise min (0 for empty segments)."""
-    return _scatter_extremum(src, index, dim_size, "min", plan, validated)
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    return _scatter_extremum(src, plan, "min")
 
 
 def scatter_std(
@@ -386,8 +325,9 @@ def scatter_std(
     Uses ``sqrt(relu(E[x^2] - E[x]^2) + eps)`` which matches the PNA
     reference implementation and stays differentiable at zero variance.
     """
-    mean = scatter_mean(src, index, dim_size, plan=plan, validated=validated)
-    mean_sq = scatter_mean(src * src, index, dim_size, plan=plan, validated=validated)
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    mean = scatter_mean(src, None, dim_size, plan=plan)
+    mean_sq = scatter_mean(src * src, None, dim_size, plan=plan)
     var = (mean_sq - mean * mean).relu()
     return (var + eps).sqrt()
 
@@ -405,18 +345,10 @@ def scatter_softmax(
     stabilisation that leaves gradients identical because softmax is
     shift-invariant.
     """
-    if plan is None:
-        index = _check_index(index, len(src.data), dim_size, validated)
-    else:
-        index = _resolve_index(index, plan, len(src.data), dim_size, validated)
-    seg_max = _scatter_extremum(
-        src.detach(), index, dim_size, "max", plan, validated=True
-    )
+    plan = _resolve_plan(index, plan, len(src.data), dim_size, validated)
+    index = plan.index
+    seg_max = _scatter_extremum(src.detach(), plan, "max")
     shifted = src - gather_rows(seg_max, index, plan=plan)
     numer = shifted.exp()
-    denom = gather_rows(
-        scatter_sum(numer, index, dim_size, plan=plan, validated=True),
-        index,
-        plan=plan,
-    )
+    denom = gather_rows(scatter_sum(numer, None, dim_size, plan=plan), index, plan=plan)
     return numer / (denom + 1e-16)

@@ -14,7 +14,8 @@ Tensors built from python scalars, lists or integer data adopt the
 process-wide *default dtype* (``float32`` out of the box — halving the
 memory traffic of the dense hot path); numpy arrays with an explicit
 floating dtype are taken as-is. :func:`set_default_dtype` flips the
-policy globally and :func:`default_dtype` scopes it to a block::
+policy for every thread and :func:`default_dtype` scopes it to a block
+in the calling thread::
 
     with default_dtype(np.float64):
         ...  # parameters, features and context tables built here are f64
@@ -30,66 +31,52 @@ test suite does) or by wrapping the check in ``default_dtype(np.float64)``.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.tensor import profiling as _profiling
+from repro.utils.scoped import ScopedValue
 
 
-class _GradMode(threading.local):
-    """Per-thread autograd switch: serving workers predicting under
-    :func:`no_grad` concurrently must not restore each other's state."""
+#: Autograd switch. ``no_grad`` overrides it per thread: serving workers
+#: predicting concurrently must not restore each other's state.
+_GRAD_ENABLED = ScopedValue("grad_enabled", True)
 
-    enabled = True
-
-
-_GRAD_MODE = _GradMode()
-
-_DEFAULT_DTYPE = np.dtype(np.float32)
+#: Floating dtype adopted by data without an explicit float dtype.
+_DEFAULT_DTYPE = ScopedValue("default_dtype", np.dtype(np.float32))
 
 
 def get_default_dtype() -> np.dtype:
     """The floating dtype adopted by data without an explicit float dtype."""
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
+
+
+def _floating(dtype) -> np.dtype:
+    dtype = np.dtype(dtype)
+    if not np.issubdtype(dtype, np.floating):
+        raise ValueError(f"default dtype must be floating, got {dtype}")
+    return dtype
 
 
 def set_default_dtype(dtype) -> None:
     """Set the process-wide default floating dtype (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if not np.issubdtype(dtype, np.floating):
-        raise ValueError(f"default dtype must be floating, got {dtype}")
-    _DEFAULT_DTYPE = dtype
+    _DEFAULT_DTYPE.set(_floating(dtype))
 
 
-@contextlib.contextmanager
 def default_dtype(dtype):
-    """Scope a different precision policy to a block (e.g. f64 gradchecks)."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
+    """Scope a different precision policy to a block in this thread."""
+    return _DEFAULT_DTYPE.scoped(_floating(dtype))
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_MODE.enabled
+    return _GRAD_ENABLED.get()
 
 
-@contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction in this thread."""
-    previous = _GRAD_MODE.enabled
-    _GRAD_MODE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_MODE.enabled = previous
+    return _GRAD_ENABLED.scoped(False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -132,11 +119,12 @@ def _as_array(value) -> np.ndarray:
         # coexist with a float32 default policy); everything else adopts it.
         if np.issubdtype(value.dtype, np.floating):
             return value
-        return value.astype(_DEFAULT_DTYPE)
+        return value.astype(_DEFAULT_DTYPE.get())
     arr = np.asarray(value)
-    if arr.dtype == _DEFAULT_DTYPE:
+    dtype = _DEFAULT_DTYPE.get()
+    if arr.dtype == dtype:
         return arr
-    return arr.astype(_DEFAULT_DTYPE)
+    return arr.astype(dtype)
 
 
 class Tensor:
@@ -165,7 +153,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._grad_owned = False
@@ -226,7 +214,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Build an op output, recording the tape only when needed."""
-        profile = _profiling._ACTIVE
+        profile = _profiling._PROFILE.get()
         if profile is not None:
             profile.count(backward.__qualname__)
         out = Tensor.__new__(Tensor)
@@ -234,7 +222,7 @@ class Tensor:
         out.grad = None
         out._grad_owned = False
         out.name = ""
-        needs = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
+        needs = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         if needs:
             out._parents = tuple(parents)

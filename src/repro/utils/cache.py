@@ -5,8 +5,8 @@
   fused operators, relation fusions, contexts) keyed by backend name,
   endpoint, dtype, relation id or stacked depth. The memo lives exactly
   as long as its owner, so it needs no bound, and adding a scatter
-  backend adds keys, nothing else. ``None`` is cached like any value (a
-  backend without a fused operator answers once).
+  backend adds keys, nothing else. Each key is built once, whatever its
+  value (``None`` included).
 - :class:`LRUCache` — the one eviction policy, for caches whose keys
   grow with traffic: the serving tier's result and partition caches,
   the shard reader's decoded shards, a partition's block contexts. A

@@ -41,11 +41,12 @@ def pytest_configure(config):
     The suite normally runs under the production float32 policy and the
     default ``csr`` scatter backend; the CI matrix re-runs it with
     ``REPRO_DTYPE=float64`` (the opt-out path of
-    :func:`repro.tensor.set_default_dtype`) and with
-    ``REPRO_SCATTER_BACKEND=bucketed`` so every backend keeps the whole
-    suite green. Unknown values for either variable abort collection
-    with the valid set — a misspelled matrix entry must not silently
-    test the defaults twice.
+    :func:`repro.tensor.set_default_dtype`, process-wide so server
+    worker threads see it too) and with ``REPRO_SCATTER_BACKEND=bucketed``
+    so both registered backends (csr, bucketed) keep the whole suite
+    green. Unknown values for either variable abort collection with the
+    valid set — a misspelled matrix entry must not silently test the
+    defaults twice.
     """
     dtype = os.environ.get("REPRO_DTYPE")
     if dtype:

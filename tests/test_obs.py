@@ -478,7 +478,7 @@ class TestProfiling:
 
     def test_disabled_overhead_below_five_percent(self, dfg_samples):
         """Toggling profiling on and back off must leave the step cost
-        unchanged: the disabled path is one attribute load per op."""
+        unchanged: the disabled path is one context-variable lookup per op."""
         batch = Batch(dfg_samples[:8])
         model = GraphRegressor(
             "gcn", in_dim=batch.feature_dim, hidden_dim=16, num_layers=2,

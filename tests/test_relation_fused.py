@@ -6,8 +6,8 @@ Four contracts:
    ``relation_gather_matmul``) match their unfused compositions in
    forward values and gradients, and pass float64 gradcheck;
 2. the batched :class:`~repro.nn.RelationLinear` path through
-   RGCN/GGNN/FiLM reproduces the per-relation ``Linear`` loop
-   (``use_fused_relations(False)``) — forward and all gradients;
+   RGCN/GGNN/FiLM reproduces the per-relation loop oracles of
+   ``tests/oracles.py`` — forward and all gradients;
 3. the dtype policy: float32 end-to-end by default, explicit float64
    respected, ``default_dtype``/``set_default_dtype`` scoping, and
    dtype-preserving artifact round-trips;
@@ -18,6 +18,7 @@ Four contracts:
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from repro.tensor import (
     Tensor,
     addmm,
     default_dtype,
-    fused_relations_enabled,
     get_default_dtype,
     gradcheck,
     linear_act,
@@ -40,8 +40,8 @@ from repro.tensor import (
     relation_gather_matmul,
     relation_matmul,
     set_default_dtype,
-    use_fused_relations,
 )
+from tests import oracles
 
 DIM = 6
 RELATIONS = 8  # 4 edge types x 2 directions
@@ -246,7 +246,7 @@ class TestRelationLinear:
         stacked = rel(x)
         for r in range(3):
             np.testing.assert_allclose(
-                rel.single(x, r).data, stacked.data[r], atol=1e-12
+                oracles.relation_transform(rel, x, r).data, stacked.data[r], atol=1e-12
             )
 
     def test_edge_messages_block_equals_stacked(self, rng):
@@ -330,7 +330,7 @@ class TestBlockPathTransformsOnlyGatheredRows:
 @pytest.mark.parametrize("name", ["rgcn", "ggnn", "film"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_layer_fused_matches_relation_loop(name, dtype, rng):
-    """Batched relation path == per-relation Linear loop, fwd + grads.
+    """Batched relation path == per-relation loop oracle, fwd + grads.
 
     float64 pins near-exact agreement; float32 (the production policy)
     agrees within summation-order noise.
@@ -346,8 +346,8 @@ def test_layer_fused_matches_relation_loop(name, dtype, rng):
         for mode in ("fused", "loop"):
             x = Tensor(x_data.copy(), requires_grad=True)
             layer.zero_grad()
-            with use_fused_relations(mode == "fused"):
-                assert fused_relations_enabled() == (mode == "fused")
+            engine = oracles.reference_engine() if mode == "loop" else nullcontext()
+            with engine:
                 out = layer(x, ctx)
                 out.sum().backward()
             results[mode] = (
@@ -376,9 +376,8 @@ def test_layer_with_more_relations_than_context(name, rng):
     ctx = make_context(num_edge_types=2)  # 4 direction-aware relations
     layer = build_layer(name, DIM, DIM, RELATIONS, np.random.default_rng(4))
     x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)))
-    with use_fused_relations(True):
-        fused_out = layer(x, ctx)
-    with use_fused_relations(False):
+    fused_out = layer(x, ctx)
+    with oracles.reference_engine():
         loop_out = layer(x, ctx)
     np.testing.assert_allclose(fused_out.data, loop_out.data, atol=1e-5, rtol=1e-5)
 
@@ -395,12 +394,11 @@ def test_fusion_norm_matches_relation_counts():
     norm = fusion.norm_for(np.float64)
     assert norm.shape == (fusion.num_edges, 1)
     for r, (s, e) in enumerate(zip(fusion.starts, fusion.ends)):
-        src, dst = ctx.relation_edges(r)
-        if not len(dst):
-            continue
+        _, dst = oracles.relation_edges(ctx, r)
+        assert e - s == len(dst)
         counts = np.bincount(dst, minlength=ctx.num_nodes)
         np.testing.assert_allclose(
-            norm[s:e, 0], 1.0 / counts[dst], atol=1e-12
+            norm[s:e, 0], 1.0 / counts[fusion.dst[s:e]], atol=1e-12
         )
 
 

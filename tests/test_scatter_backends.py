@@ -34,11 +34,11 @@ from repro.tensor.backends import (
     BucketedPlan,
     BucketedSpMM,
     CsrBackend,
-    ReduceatPlan,
     ScatterBackend,
     _sorted_csr_from_coo,
 )
 from repro.tensor.scatter import SegmentPlan
+from tests import oracles
 
 
 def _context(rng, num_nodes=40, num_edges=160, num_edge_types=3):
@@ -58,14 +58,14 @@ def _memo_backends(owner, kind: str) -> set[str]:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert {"csr", "numpy-reduceat", "bucketed"} <= set(names)
+        assert {"csr", "bucketed"} <= set(names)
 
     def test_default_backend_is_csr_unless_env_overrides(self):
         expected = os.environ.get("REPRO_SCATTER_BACKEND") or "csr"
         assert active_backend().name == expected
 
     def test_get_backend_unknown_name_lists_valid_set(self):
-        with pytest.raises(ValueError, match="bucketed, csr, numpy-reduceat"):
+        with pytest.raises(ValueError, match="valid backends: bucketed, csr$"):
             get_backend("gpu")
 
     def test_duplicate_registration_rejected_unless_replace(self):
@@ -75,8 +75,9 @@ class TestRegistry:
 
     def test_use_backend_scopes_and_restores(self):
         before = active_backend()
-        with use_backend("numpy-reduceat") as backend:
-            assert backend.name == "numpy-reduceat"
+        other = "csr" if before.name == "bucketed" else "bucketed"
+        with use_backend(other) as backend:
+            assert backend.name == other
             assert active_backend() is backend
         assert active_backend() is before
 
@@ -98,19 +99,23 @@ class TestRegistry:
     def test_backends_build_their_plan_types(self):
         idx = np.array([2, 0, 1, 1])
         assert type(get_backend("csr").build_plan(idx, 3)) is SegmentPlan
-        assert isinstance(
-            get_backend("numpy-reduceat").build_plan(idx, 3), ReduceatPlan
-        )
         assert isinstance(get_backend("bucketed").build_plan(idx, 3), BucketedPlan)
 
     def test_custom_backend_plugs_in(self):
-        class Custom(ScatterBackend):
+        class PlansOnly(ScatterBackend):
             name = "test-custom"
 
             def build_plan(self, index, dim_size, *, validate=True, assume_sorted=False):
                 return SegmentPlan(
                     index, dim_size, validate=validate, assume_sorted=assume_sorted
                 )
+
+        # Every backend must supply the fused operator too.
+        with pytest.raises(TypeError, match="sparse_operator"):
+            PlansOnly()
+
+        class Custom(PlansOnly):
+            sparse_operator = CsrBackend.sparse_operator
 
         register_backend(Custom(), replace=True)
         try:
@@ -150,7 +155,7 @@ class TestEnvironmentSelection:
         )
         assert out.returncode != 0
         assert "unknown scatter backend 'cuda'" in out.stderr
-        assert "bucketed, csr, numpy-reduceat" in out.stderr
+        assert "valid backends: bucketed, csr\n" in out.stderr
 
     def test_bad_worker_count_fails_fast(self):
         for bad in ("zero", "0", "-2"):
@@ -229,17 +234,6 @@ class TestBucketedSpMM:
         )
         np.testing.assert_array_equal(spmm.apply(np.ones((4, 3))), np.zeros((5, 3)))
 
-    def test_dense_fallback_matches_sparse_path(self, rng, monkeypatch):
-        rows, cols, weights = self._random_coo(rng)
-        triplet = _sorted_csr_from_coo(rows, cols, weights, 50)
-        values = rng.normal(size=(30, 6))
-        expected = BucketedSpMM(*triplet, (50, 30)).apply(values)
-        import repro.tensor.backends as backends
-
-        monkeypatch.setattr(backends, "_sparse", None)
-        dense = BucketedSpMM(*triplet, (50, 30)).apply(values)
-        np.testing.assert_allclose(dense, expected, atol=1e-10)
-
     def test_plan_segment_sum_deterministic_in_workers(self, rng):
         idx = rng.integers(0, 20, 300)
         idx[:150] = 11
@@ -261,11 +255,8 @@ class TestPerBackendCaches:
             bucketed_plan = ctx.sym_dst_plan
         with use_backend("csr"):
             csr_plan = ctx.sym_dst_plan
-        with use_backend("numpy-reduceat"):
-            reduceat_plan = ctx.sym_dst_plan
         assert isinstance(bucketed_plan, BucketedPlan)
         assert type(csr_plan) is SegmentPlan
-        assert isinstance(reduceat_plan, ReduceatPlan)
         # Re-entering a backend returns the identical cached plan.
         with use_backend("bucketed"):
             assert ctx.sym_dst_plan is bucketed_plan
@@ -273,15 +264,15 @@ class TestPerBackendCaches:
             assert ctx.sym_dst_plan is csr_plan
 
     def test_relation_plans_keyed_by_backend(self, rng):
-        ctx = _context(rng)
+        fusion = _context(rng).relation_fusion(6)
         with use_backend("bucketed"):
-            src_plan, dst_plan = ctx.relation_plans(0)
-            assert isinstance(src_plan, BucketedPlan)
-            assert dst_plan.order is None  # assume_sorted preserved
+            dst_plan = fusion.plan("dst")
+            assert isinstance(dst_plan, BucketedPlan)
+            assert fusion.plan("dst") is dst_plan
         with use_backend("csr"):
-            csr_src, _ = ctx.relation_plans(0)
-            assert type(csr_src) is SegmentPlan
-            assert csr_src is not src_plan
+            csr_plan = fusion.plan("dst")
+            assert type(csr_plan) is SegmentPlan
+        assert _memo_backends(fusion, "plan") == {"bucketed", "csr"}
 
     def test_gcn_operator_keyed_by_backend(self, rng):
         ctx = _context(rng)
@@ -294,6 +285,8 @@ class TestPerBackendCaches:
             csr_out = ctx.propagate_gcn(x).data
         assert _memo_backends(ctx, "gcn_operator") == {"bucketed", "csr"}
         np.testing.assert_allclose(bucketed_out, csr_out, atol=1e-10)
+        reference = oracles.propagate_gcn(ctx, x).data
+        np.testing.assert_allclose(csr_out, reference, atol=1e-10)
 
     def test_fusion_operators_keyed_by_backend(self, rng):
         ctx = _context(rng)
@@ -307,19 +300,6 @@ class TestPerBackendCaches:
             csr_out = fusion.collect(stacked, weighted=True).data
         assert _memo_backends(fusion, "collect") == {"bucketed", "csr"}
         np.testing.assert_allclose(bucketed_out, csr_out, atol=1e-10)
-
-    def test_reduceat_backend_has_no_fused_operator(self, rng):
-        ctx = _context(rng)
-        x = Tensor(rng.normal(size=(ctx.num_nodes, 3)))
-        with use_backend("numpy-reduceat"):
-            assert ctx._gcn_operator() is None
-            # The missing operator is memoised like any other answer.
-            assert ("gcn_operator", "numpy-reduceat") in ctx._memo
-            # propagate_gcn still works through the plan composition.
-            out = ctx.propagate_gcn(x).data
-        with use_backend("csr"):
-            expected = ctx.propagate_gcn(x).data
-        np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_memo_key_set_stable_across_backends_and_dtypes(self, rng):
         """Every backend x dtype, GCN + RGCN forward and backward, run

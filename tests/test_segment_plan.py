@@ -1,12 +1,12 @@
-"""Planned (SegmentPlan/CSR) kernels vs the ``np.add.at`` reference.
+"""Planned (SegmentPlan/CSR) kernels vs the ``np.add.at`` oracles.
 
-Every scatter op must produce the same forward values and the same
-gradients whether it runs the planned sorted-segment kernels or the
-unbuffered fallback — across unsorted, duplicated and empty segments,
-single- and multi-graph batches, and under EVERY registered scatter
-backend (csr, numpy-reduceat, bucketed, and whatever plugs in later).
-Also pins the context-reuse contract: one :class:`GraphContext` per
-:class:`Batch` per ``num_edge_types``.
+Every scatter op must produce the forward values and gradients of the
+unbuffered reference ops in ``tests/oracles.py`` — with a caller's plan
+or without one, across unsorted, duplicated and empty segments, single-
+and multi-graph batches, and under EVERY registered scatter backend
+(csr, bucketed, and whatever plugs in later). Also pins the
+context-reuse contract: one :class:`GraphContext` per :class:`Batch`
+per ``num_edge_types``.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.tensor import (
     default_dtype,
     gather_rows,
     gradcheck,
-    plans_enabled,
     scatter_max,
     scatter_mean,
     scatter_min,
@@ -33,8 +32,8 @@ from repro.tensor import (
     scatter_std,
     scatter_sum,
     use_backend,
-    use_plans,
 )
+from tests import oracles
 
 TYPES = 7
 
@@ -47,6 +46,9 @@ OPS = {
     "softmax": scatter_softmax,
 }
 
+#: Op name -> its ``np.add.at`` oracle.
+ORACLES = {name: oracles.OPS[op.__name__] for name, op in OPS.items()}
+
 
 def _run(op, src_data, idx, dim, plan):
     src = Tensor(src_data.copy(), requires_grad=True)
@@ -55,9 +57,21 @@ def _run(op, src_data, idx, dim, plan):
     return out.data, src.grad
 
 
+def _oracle(name, src_data, idx, dim):
+    return _run(ORACLES[name], src_data, idx, dim, None)
+
+
+def _gather_grad(gather, x_data, idx, plan):
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = gather(x, idx, plan=plan)
+    out.backward(np.ones_like(out.data))
+    return out.data, x.grad
+
+
 @st.composite
 def _segment_case(draw):
-    n_src = draw(st.integers(1, 14))
+    # Empty sources, empty tail segments and repeated indices all occur.
+    n_src = draw(st.integers(0, 14))
     # dim may exceed every index (empty tail segments) and indices repeat.
     dim = draw(st.integers(1, 8))
     width = draw(st.integers(1, 3))
@@ -75,50 +89,50 @@ def _segment_case(draw):
 
 
 class TestPlannedMatchesFallback:
+    """Every op, with the caller's plan and without one, == the oracle."""
+
     @pytest.mark.parametrize("name", sorted(OPS))
     @given(case=_segment_case())
     @settings(max_examples=40, deadline=None)
     def test_forward_and_grad_parity(self, name, case):
         src, idx, dim = case
-        op = OPS[name]
-        plan = SegmentPlan(idx, dim)
-        planned_out, planned_grad = _run(op, src, idx, dim, plan)
-        reference_out, reference_grad = _run(op, src, idx, dim, None)
-        np.testing.assert_allclose(planned_out, reference_out, atol=1e-9)
-        np.testing.assert_allclose(planned_grad, reference_grad, atol=1e-9)
+        reference_out, reference_grad = _oracle(name, src, idx, dim)
+        for plan in (SegmentPlan(idx, dim), None):
+            out, grad = _run(OPS[name], src, idx, dim, plan)
+            np.testing.assert_allclose(out, reference_out, atol=1e-9)
+            np.testing.assert_allclose(grad, reference_grad, atol=1e-9)
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_empty_source(self, name):
         src = np.empty((0, 2))
         idx = np.empty(0, dtype=np.int64)
-        plan = SegmentPlan(idx, 3)
-        planned_out, _ = _run(OPS[name], src, idx, 3, plan)
-        reference_out, _ = _run(OPS[name], src, idx, 3, None)
-        np.testing.assert_allclose(planned_out, reference_out)
-        if name != "std":  # std of an empty segment is sqrt(eps), not 0
-            np.testing.assert_allclose(planned_out, 0.0)
+        reference_out, _ = _oracle(name, src, idx, 3)
+        for plan in (SegmentPlan(idx, 3), None):
+            out, _ = _run(OPS[name], src, idx, 3, plan)
+            np.testing.assert_allclose(out, reference_out)
+            if name != "std":  # std of an empty segment is sqrt(eps), not 0
+                np.testing.assert_allclose(out, 0.0)
 
-    def test_gather_backward_parity(self, rng):
-        x_data = rng.normal(size=(5, 3))
-        idx = np.array([4, 0, 0, 2, 4, 4])
-        plan = SegmentPlan(idx, 5)
-        grads = {}
-        for key, p in {"planned": plan, "fallback": None}.items():
-            x = Tensor(x_data.copy(), requires_grad=True)
-            gather_rows(x, idx, plan=p).sum().backward()
-            grads[key] = x.grad
-        np.testing.assert_allclose(grads["planned"], grads["fallback"], atol=1e-12)
+    @given(case=_segment_case())
+    @settings(max_examples=40, deadline=None)
+    def test_gather_backward_parity(self, case):
+        values, idx, dim = case
+        x_data = np.resize(values, (dim, values.shape[1]))
+        reference_out, reference_grad = _gather_grad(oracles.gather_rows, x_data, idx, None)
+        for plan in (SegmentPlan(idx, dim), None):
+            out, grad = _gather_grad(gather_rows, x_data, idx, plan)
+            np.testing.assert_array_equal(out, reference_out)
+            np.testing.assert_allclose(grad, reference_grad, atol=1e-9)
 
-    def test_use_plans_flag_forces_fallback(self, rng):
-        src = Tensor(rng.normal(size=(6, 2)))
-        idx = np.array([0, 2, 2, 1, 0, 2])
-        plan = SegmentPlan(idx, 4)
-        with use_plans(False):
-            assert not plans_enabled()
-            flagged = scatter_sum(src, idx, 4, plan=plan).data
-        reference = scatter_sum(src, idx, 4).data
-        np.testing.assert_array_equal(flagged, reference)
-        assert plans_enabled()
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_index_raises(self, name, bad):
+        src = Tensor(np.ones((3, 2)))
+        idx = np.array([0, bad, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            OPS[name](src, idx, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            SegmentPlan(idx, 4)
 
 
 class TestPlannedGradcheck:
@@ -183,12 +197,12 @@ def _skewed_case(dtype, rng):
 
 
 class TestBackendParity:
-    """Differential parity of every registered backend vs the fallback.
+    """Differential parity of every registered backend vs the oracles.
 
-    The ``np.add.at`` composition (``use_plans(False)``) is the single
-    source of truth; each backend's planned kernels must reproduce its
-    forward values and gradients for all six ops, both float dtypes,
-    and the degree distributions that stress bucketing.
+    The ``np.add.at`` oracles are the single source of truth; each
+    backend's planned kernels must reproduce their forward values and
+    gradients for all six ops, both float dtypes, and the degree
+    distributions that stress bucketing.
     """
 
     @pytest.mark.parametrize("backend_name", available_backends())
@@ -201,7 +215,7 @@ class TestBackendParity:
         with use_backend(backend_name):
             plan = build_plan(idx, dim)
             planned_out, planned_grad = _run(op, src, idx, dim, plan)
-        reference_out, reference_grad = _run(op, src, idx, dim, None)
+        reference_out, reference_grad = _oracle(name, src, idx, dim)
         np.testing.assert_allclose(planned_out, reference_out, atol=1e-9)
         np.testing.assert_allclose(planned_grad, reference_grad, atol=1e-9)
 
@@ -216,7 +230,7 @@ class TestBackendParity:
         with use_backend(backend_name):
             plan = build_plan(idx, dim)
             planned_out, planned_grad = _run(OPS[name], src, idx, dim, plan)
-        reference_out, reference_grad = _run(OPS[name], src, idx, dim, None)
+        reference_out, reference_grad = _oracle(name, src, idx, dim)
         np.testing.assert_allclose(planned_out, reference_out, **tol)
         np.testing.assert_allclose(planned_grad, reference_grad, **tol)
 
@@ -228,7 +242,7 @@ class TestBackendParity:
         with use_backend(backend_name):
             plan = build_plan(idx, 4)
             planned_out, _ = _run(OPS[name], src, idx, 4, plan)
-        reference_out, _ = _run(OPS[name], src, idx, 4, None)
+        reference_out, _ = _oracle(name, src, idx, 4)
         np.testing.assert_allclose(planned_out, reference_out)
 
     @pytest.mark.parametrize("backend_name", available_backends())
@@ -245,20 +259,18 @@ class TestBackendParity:
     def test_gather_backward_parity(self, backend_name, rng):
         x_data = rng.normal(size=(5, 3))
         idx = np.array([4, 0, 0, 2, 4, 4])
+        _, reference = _gather_grad(oracles.gather_rows, x_data, idx, None)
         with use_backend(backend_name):
-            plan = build_plan(idx, 5)
-            x = Tensor(x_data.copy(), requires_grad=True)
-            gather_rows(x, idx, plan=plan).sum().backward()
-            planned_grad = x.grad
-        x = Tensor(x_data.copy(), requires_grad=True)
-        gather_rows(x, idx).sum().backward()
-        np.testing.assert_allclose(planned_grad, x.grad, atol=1e-12)
+            for plan in (build_plan(idx, 5), None):
+                _, grad = _gather_grad(gather_rows, x_data, idx, plan)
+                np.testing.assert_allclose(grad, reference, atol=1e-12)
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
 @pytest.mark.parametrize("model_name", ["gcn", "rgcn"])
 def test_model_parity_per_backend(dfg_samples, backend_name, model_name):
-    """Whole-network forward/backward parity under each backend (f64)."""
+    """Whole-network forward/backward parity with the oracles under each
+    backend (f64)."""
     with default_dtype(np.float64):
         batch = Batch(dfg_samples[:6])
         model = GraphRegressor(
@@ -269,9 +281,9 @@ def test_model_parity_per_backend(dfg_samples, backend_name, model_name):
             num_edge_types=TYPES,
             rng=np.random.default_rng(3),
         )
-        with use_backend(backend_name), use_plans(True):
+        with use_backend(backend_name):
             planned_out, planned_grads = _model_step(model, batch)
-        with use_plans(False):
+        with oracles.reference_engine():
             fallback_out, fallback_grads = _model_step(model, batch)
     np.testing.assert_allclose(planned_out, fallback_out, atol=1e-8)
     for name in planned_grads:
@@ -300,8 +312,8 @@ def test_model_forward_backward_parity(dfg_samples, model_name, batch_slice):
     """Whole-network parity, single- and multi-graph batches.
 
     Pinned to float64: the comparison probes *kernel* equivalence
-    (planned vs fallback scatter), so float32 summation-order noise must
-    not drown the 1e-7 band.
+    (engine vs ``np.add.at`` oracles), so float32 summation-order noise
+    must not drown the 1e-7 band.
     """
     with default_dtype(np.float64):
         batch = Batch(dfg_samples[batch_slice])
@@ -313,9 +325,8 @@ def test_model_forward_backward_parity(dfg_samples, model_name, batch_slice):
             num_edge_types=TYPES,
             rng=np.random.default_rng(3),
         )
-        with use_plans(True):
-            planned_out, planned_grads = _model_step(model, batch)
-        with use_plans(False):
+        planned_out, planned_grads = _model_step(model, batch)
+        with oracles.reference_engine():
             fallback_out, fallback_grads = _model_step(model, batch)
     np.testing.assert_allclose(planned_out, fallback_out, atol=1e-8)
     assert planned_grads.keys() == fallback_grads.keys()
@@ -368,16 +379,15 @@ class TestContextReuse:
     ):
         batch = Batch(dfg_samples[:5])
         ctx = GraphContext.from_batch(batch, TYPES)
+        fusion = ctx.relation_fusion(ctx.num_relations)
         for relation in range(ctx.num_relations):
-            src, dst = ctx.relation_edges(relation)
-            mask = ctx.sym_rel == relation
+            run = slice(fusion.starts[relation], fusion.ends[relation])
+            src, dst = fusion.src[run], fusion.dst[run]
             assert sorted(zip(src, dst)) == sorted(
-                zip(ctx.sym_src[mask], ctx.sym_dst[mask])
+                zip(*oracles.relation_edges(ctx, relation))
             )
-            assert (np.diff(dst) >= 0).all()  # plan-ready without argsort
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            assert dst_plan.order is None
-            assert src_plan.size == len(src)
+            assert (np.diff(dst) >= 0).all()  # dst-sorted within each relation
+        assert fusion.plan("src").size == fusion.num_edges == len(ctx.sym_src)
 
     def test_context_validates_indices_once(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck, is_grad_enabled, no_grad
+from repro.tensor import (
+    OpProfile,
+    Tensor,
+    active_backend,
+    default_dtype,
+    get_default_dtype,
+    gradcheck,
+    is_grad_enabled,
+    no_grad,
+    profiling_enabled,
+    use_backend,
+    use_profiling,
+)
 
 
 class TestConstruction:
@@ -151,6 +163,73 @@ class TestBackwardBasics:
         (a * 2.0).backward()
         a.zero_grad()
         assert a.grad is None
+
+
+def _interleave(enter, probe):
+    """Two threads overlap ``enter()`` blocks first-in-first-out.
+
+    A enters, B enters, A exits, then B calls ``probe()`` while still
+    inside its block, then B exits — the order in which a
+    restore-the-previous-global switch leaks A's exit into B and B's
+    exit into the rest of the process. Returns what B's probe saw.
+    """
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = []
+
+    def first():
+        with enter():
+            first_in.set()
+            second_in.wait(5)
+        first_out.set()
+
+    def second():
+        first_in.wait(5)
+        with enter():
+            second_in.set()
+            first_out.wait(5)
+            seen.append(probe())
+
+    threads = [threading.Thread(target=run) for run in (first, second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 1, "thread B never probed"
+    return seen[0]
+
+
+class TestScopedSwitchesPerThread:
+    """``use_backend``, ``default_dtype`` and ``use_profiling`` scope to
+    the calling thread, like ``no_grad``."""
+
+    def test_use_backend_is_per_thread(self):
+        before = active_backend()
+        other = "csr" if before.name == "bucketed" else "bucketed"
+        assert _interleave(lambda: use_backend(other), lambda: active_backend().name) == other
+        assert active_backend() is before
+
+    def test_default_dtype_is_per_thread(self):
+        before = get_default_dtype()
+        other = np.float32 if before == np.float64 else np.float64
+        assert _interleave(lambda: default_dtype(other), get_default_dtype) == other
+        assert get_default_dtype() == before
+
+    def test_use_profiling_is_per_thread(self):
+        profiles = []
+
+        def enter():
+            profiles.append(OpProfile())
+            return use_profiling(profiles[-1])
+
+        def probe():
+            Tensor([1.0]) + Tensor([2.0])
+            return profiling_enabled()
+
+        assert _interleave(enter, probe)
+        assert not profiling_enabled()
+        # Only B's profile counted B's op, and A's counted nothing.
+        assert [p.op_count("Tensor.__add__") for p in profiles] == [0, 1]
 
 
 class TestGradcheckElementwise:
